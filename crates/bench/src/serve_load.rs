@@ -40,6 +40,8 @@ use alpha_net::{Client, NetServer, ServerConfig};
 use alpha_search::SearchConfig;
 use alpha_serve::{DesignStore, TuningService};
 use alpha_telemetry::Registry;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Configuration of one `reproduce -- serve` run.
@@ -261,12 +263,7 @@ impl ServeLoadReport {
             threads: self.config.threads,
             measured_median_us: None,
             measured_stddev_us: None,
-            pool: true,
-            dispatch_overhead_us: None,
-            telemetry_overhead_pct: None,
             kernel_shape: None,
-            specialized: None,
-            interp_overhead_pct: None,
             latency: Some(latency),
             clients: Some(self.config.clients),
         };
@@ -417,14 +414,23 @@ fn tune_phase(
     Ok((client, outcome, jobs))
 }
 
+/// A store directory under the system temp dir that no other call in any
+/// process shares: the process id plus a process-wide sequence number, so
+/// concurrent runs in one process (parallel tests) never remove each
+/// other's live store.
+fn unique_temp_dir(prefix: &str) -> PathBuf {
+    static SEQUENCE: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "{prefix}_{}_{}",
+        std::process::id(),
+        SEQUENCE.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 /// Runs the closed-loop load test end to end: spawn daemon, drive it with
 /// `config.clients` concurrent clients, shut it down cleanly, aggregate.
 pub fn serve_load(config: ServeLoadConfig) -> Result<ServeLoadReport, String> {
-    let store_dir = std::env::temp_dir().join(format!(
-        "alphasparse_serve_load_{}_{}",
-        std::process::id(),
-        config.fleet_size
-    ));
+    let store_dir = unique_temp_dir("alphasparse_serve_load");
     let _ = std::fs::remove_dir_all(&store_dir);
     let report = serve_load_at(config, &store_dir);
     let _ = std::fs::remove_dir_all(&store_dir);
@@ -440,11 +446,7 @@ pub fn serve_sweep(
     config: ServeLoadConfig,
     counts: &[usize],
 ) -> Result<Vec<ServeLoadReport>, String> {
-    let store_dir = std::env::temp_dir().join(format!(
-        "alphasparse_serve_sweep_{}_{}",
-        std::process::id(),
-        config.fleet_size
-    ));
+    let store_dir = unique_temp_dir("alphasparse_serve_sweep");
     let _ = std::fs::remove_dir_all(&store_dir);
     let mut reports = Vec::with_capacity(counts.len());
     for &clients in counts {
@@ -637,8 +639,7 @@ pub struct TracedServeReport {
 /// Returns what the artifact contains plus the flight recorder's per-stage
 /// attribution of the slowest request.
 pub fn traced_serve_run(threads: usize) -> Result<TracedServeReport, String> {
-    let store_dir =
-        std::env::temp_dir().join(format!("alphasparse_serve_trace_{}", std::process::id()));
+    let store_dir = unique_temp_dir("alphasparse_serve_trace");
     let _ = std::fs::remove_dir_all(&store_dir);
     let result = traced_serve_run_at(threads, &store_dir);
     let _ = std::fs::remove_dir_all(&store_dir);
@@ -838,7 +839,6 @@ mod tests {
         );
         for record in &records {
             assert_eq!(record.device, "alpha-net");
-            assert!(record.pool, "daemon SpMV and tuning run pooled");
             assert_eq!(record.clients, Some(config.clients));
             let latency = record.latency.expect("serve records carry latency");
             assert!(latency.p99_us >= latency.p50_us);
@@ -874,6 +874,26 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_runs_keep_their_stores_apart() {
+        // Two identical configurations at once: each run must own its store
+        // directory, or one run's cleanup deletes the other's live store.
+        let runs: Vec<_> = (0..2)
+            .map(|_| std::thread::spawn(|| serve_load(ServeLoadConfig::tiny())))
+            .collect();
+        for run in runs {
+            let report = run
+                .join()
+                .expect("load thread")
+                .expect("concurrent load run succeeds");
+            assert_eq!(
+                report.tune_latencies_us.len(),
+                ServeLoadConfig::tiny().fleet_size
+            );
+        }
+        assert_ne!(unique_temp_dir("x"), unique_temp_dir("x"));
+    }
+
+    #[test]
     fn sweep_reports_one_point_per_connection_count_in_order() {
         let config = ServeLoadConfig {
             fleet_size: 2,
@@ -903,10 +923,7 @@ mod tests {
         // An empty matrix in the fleet makes its tune job fail server-side;
         // the closed-loop driver must surface that as a run failure.
         let config = ServeLoadConfig::tiny();
-        let store_dir = std::env::temp_dir().join(format!(
-            "alphasparse_serve_load_fail_{}",
-            std::process::id()
-        ));
+        let store_dir = unique_temp_dir("alphasparse_serve_load_fail");
         let _ = std::fs::remove_dir_all(&store_dir);
         let service = TuningService::new(
             DesignStore::open(&store_dir).unwrap(),

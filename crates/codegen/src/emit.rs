@@ -228,7 +228,8 @@ fn emit_host_launcher(metadata: &MatrixMetadataSet, format: &MachineFormat) -> S
 /// specialized row/nnz-partition loops `alpha-cpu`'s `NativeKernel` executes,
 /// with compressed index arrays appearing as inline closed-form expressions
 /// instead of loads.  Like [`emit_cuda`], this is the user-facing artifact —
-/// the native backend interprets the same structure directly.
+/// the native backend runs the same structure as monomorphized library
+/// loops.
 pub fn emit_rust(metadata: &MatrixMetadataSet, format: &MachineFormat) -> String {
     let mut out = String::new();
     out.push_str(

@@ -142,25 +142,6 @@ impl TimingHarness {
                 .expect("dimensions validated above");
         }))
     }
-
-    /// Times a kernel with the legacy **spawn-per-call** threading — the
-    /// comparison half of every pooled-vs-spawn bench row.  Hot paths and
-    /// evaluators should use [`TimingHarness::measure_kernel`].
-    pub fn measure_kernel_spawning(
-        self,
-        kernel: &NativeKernel,
-        x: &[Scalar],
-        threads: usize,
-    ) -> Result<MeasuredReport, String> {
-        let mut y = vec![0.0; kernel.rows()];
-        kernel.run_into_spawning(x, &mut y, threads)?;
-        let resolved = crate::kernel::effective_workers(threads, kernel.nnz());
-        Ok(self.measure(kernel.useful_flops(), resolved, || {
-            kernel
-                .run_into_spawning(x, &mut y, threads)
-                .expect("dimensions validated above");
-        }))
-    }
 }
 
 /// The outcome of one steady-state measurement.

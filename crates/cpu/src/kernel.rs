@@ -12,65 +12,45 @@
 //!   its span emitting one partial per row segment (the merge/CSR5 layout);
 //!   boundary rows are merged by accumulation during the scatter phase;
 //! * **closed-form index functions**: an index array that Model-Driven Format
-//!   Compression replaced with a fitted model is *computed*, not loaded —
-//!   [`IndexFn`] dispatches identity / affine forms without touching the
-//!   original array at all.
+//!   Compression replaced with a fitted identity / affine model is
+//!   *computed*, not loaded ([`IndexFn`]); any other fitted model is
+//!   materialised into a table once, at build.
+//!
+//! Every partition runs through the monomorphized kernel library in
+//! [`crate::specialized`]: the build computes its [`KernelShape`] and
+//! resolves it to branch-free loop bodies, so the hot path makes one
+//! indirect call per worker chunk and no per-element dispatch.
 //!
 //! Workers communicate only through their return values (per-range partial
 //! sums); the serial scatter applies the `origin_rows` permutation and merges
 //! rows shared between workers or `COL_DIV` sibling partitions by `+=`.
 //!
-//! Execution is **pooled by default**: [`NativeKernel::run`] and
-//! [`NativeKernel::run_into`] dispatch onto the process-wide persistent
-//! [`Pool`] (or an explicit pool via the `_with_pool` variants), so
-//! repeated runs never pay a thread spawn.  Row-partition work
-//! is split at **nnz-balanced** row boundaries cached at build time, so
-//! skewed (power-law) matrices keep their workers evenly loaded.  The legacy
-//! spawn-per-call path survives as [`NativeKernel::run_spawning`] for
-//! pool-vs-spawn comparisons.
+//! Execution runs on a persistent [`Pool`]: [`NativeKernel::run`] and
+//! [`NativeKernel::run_into`] use the process-wide one (or an explicit pool
+//! via the `_with_pool` variants), so repeated runs never pay a thread
+//! spawn.  Row-partition work is split at **nnz-balanced** row boundaries
+//! cached at build time, so skewed (power-law) matrices keep their workers
+//! evenly loaded.
 
-use crate::simd::{self, ResolvedSimd, SimdMode};
+use crate::simd::{ResolvedSimd, SimdMode};
 use crate::specialized::{
     IndexKind, KernelShape, PartitionArgs, PartitionKind, PrefetchClass, ScatterArgs, SimdClass,
-    SpecExec, SpecializeMode, SpecializedPartition,
+    SpecExec, SpecializedPartition,
 };
 use alpha_codegen::compress::CompressedArray;
 use alpha_codegen::{CompressionModel, FormatArray, MachineFormat};
-use alpha_graph::{Mapping, MatrixMetadataSet, SimdLaneMapping};
+use alpha_graph::{Mapping, MatrixMetadataSet};
 use alpha_matrix::{CsrMatrix, Scalar};
-use alpha_parallel::{Executor, Pool};
+use alpha_parallel::Pool;
 use alpha_telemetry::Histogram;
 use std::time::Instant;
 
-/// Non-zeros one worker should own, at minimum, before another worker is
-/// worth **spawning**.  The spawn-per-call path creates fresh threads every
-/// run, and a thread spawn costs tens of microseconds — more than an entire
-/// sub-100µs kernel.  Automatic thread selection (`threads == 0`) therefore
-/// scales the worker count with the matrix instead of always using every
-/// core; explicit counts are honoured verbatim.
-pub const MIN_NNZ_PER_WORKER: usize = 262_144;
-
 /// Non-zeros one worker should own, at minimum, before another **pooled**
 /// worker is worth waking.  A persistent [`Pool`] dispatches a job in a
-/// mutex/condvar round-trip (single-digit microseconds) instead of a thread
-/// spawn, so parallelism pays off more than an order of magnitude earlier
-/// than on the spawn path — this is what un-serialises the small/medium
-/// matrices `MIN_NNZ_PER_WORKER` used to force onto one core.
+/// mutex/condvar round-trip (single-digit microseconds), so parallelism pays
+/// off from a few tens of thousands of non-zeros — small and medium
+/// matrices spread across cores instead of running on one.
 pub const MIN_NNZ_PER_WORKER_POOLED: usize = 16_384;
-
-/// Resolves a requested thread count for the **spawn-per-call** path: `0`
-/// means "automatic" — one worker per available core, but never more than
-/// [`MIN_NNZ_PER_WORKER`] would justify for `nnz` non-zeros.  Explicit
-/// counts are honoured verbatim.
-pub fn effective_workers(threads: usize, nnz: usize) -> usize {
-    if threads == 0 {
-        alpha_parallel::default_threads()
-            .min(nnz.div_ceil(MIN_NNZ_PER_WORKER))
-            .max(1)
-    } else {
-        threads
-    }
-}
 
 /// Resolves a requested thread count for **pooled** execution: `0` means
 /// one worker per available core, but never more than
@@ -352,23 +332,19 @@ struct NativePartition {
     path: ExecPath,
     /// Build-time nnz-balanced row boundaries (row-partition loops only).
     row_cuts: Option<BalancedRowCuts>,
-    /// Model row bounds materialised into a table for the specialized path
-    /// (rows + 1 entries); `None` unless the partition specializes with
-    /// [`IndexFn::Model`] bounds.  The interpreted path keeps evaluating the
-    /// closed-form model.
-    spec_bounds: Option<Vec<u32>>,
-    /// Model origin map materialised for the specialized scatter; same
-    /// policy as `spec_bounds`.
-    spec_origin: Option<Vec<u32>>,
+    /// [`IndexFn::Model`] row bounds of a row partition, materialised into
+    /// a table at build (rows + 1 entries); `None` for every other kind.
+    model_bounds: Option<Vec<u32>>,
+    /// [`IndexFn::Model`] origin map, materialised into a table at build
+    /// (rows entries); `None` for every other kind.
+    model_origin: Option<Vec<u32>>,
     /// Vectorization decision resolved from the design's `SimdPlan`, the
     /// build [`SimdMode`] and the host's feature probe.
     simd: ResolvedSimd,
-    /// This partition's coordinates in the shape lattice (computed even when
-    /// the partition executes interpreted — it names the shape that missed).
+    /// This partition's coordinates in the shape lattice.
     shape: KernelShape,
-    /// Pre-resolved monomorphized library entry; `None` runs the interpreted
-    /// executor (library miss, env override, or a forced interpreted twin).
-    spec: Option<SpecializedPartition>,
+    /// The shape's pre-resolved monomorphized library entry.
+    spec: SpecializedPartition,
 }
 
 impl NativePartition {
@@ -381,9 +357,9 @@ impl NativePartition {
             IndexFn::Identity => (&[], 0, 1),
             IndexFn::Affine { base, slope } => (&[], *base, *slope),
             // Model bounds run the table instantiation over the build-time
-            // materialisation (empty only on never-specialized partitions,
-            // where these fields are unread).
-            IndexFn::Model(_) => (self.spec_bounds.as_deref().unwrap_or(&[]), 0, 0),
+            // materialisation (absent only on nnz partitions, which never
+            // read row bounds).
+            IndexFn::Model(_) => (self.model_bounds.as_deref().unwrap_or(&[]), 0, 0),
         };
         PartitionArgs {
             values: self.matrix.values(),
@@ -415,11 +391,12 @@ impl NativePartition {
                 base: *base,
                 slope: *slope,
             },
-            // Model origins scatter through the build-time materialisation
-            // (empty only on never-specialized partitions, where the
-            // scatter is unread).
+            // Model origins scatter through the build-time materialisation.
             IndexFn::Model(_) => ScatterArgs {
-                table: self.spec_origin.as_deref().unwrap_or(&[]),
+                table: self
+                    .model_origin
+                    .as_deref()
+                    .expect("model origins are materialised at build"),
                 base: 0,
                 slope: 0,
             },
@@ -438,11 +415,12 @@ pub struct NativeKernel {
     /// Widest lane count across partitions (1 = fully scalar); feeds the
     /// lane-aware pooled worker threshold.
     max_lanes: usize,
+    /// Resolved vectorization label (see [`NativeKernel::simd_label`]).
+    simd_label: String,
     /// `cpu_kernel_run_us{simd=..., path=...}` — the run-latency histogram,
     /// resolved **once** at build so the hot path pays two clock reads and a
-    /// few relaxed atomics.  `None` on a [`NativeKernel::without_telemetry`]
-    /// twin (the overhead-measurement baseline).
-    run_hist: Option<Histogram>,
+    /// few relaxed atomics.
+    run_hist: Histogram,
 }
 
 impl NativeKernel {
@@ -453,7 +431,7 @@ impl NativeKernel {
     /// scalar execution.  Panics on corrupt inputs — use
     /// [`NativeKernel::try_new`] where a typed rejection is wanted.
     pub fn new(metadata: &MatrixMetadataSet, format: &MachineFormat) -> Self {
-        Self::with_modes(metadata, format, SimdMode::Auto, SpecializeMode::Auto)
+        Self::with_simd_mode(metadata, format, SimdMode::Auto)
     }
 
     /// [`NativeKernel::new`], rejecting corrupt designs with a typed
@@ -462,7 +440,7 @@ impl NativeKernel {
         metadata: &MatrixMetadataSet,
         format: &MachineFormat,
     ) -> Result<Self, KernelBuildError> {
-        Self::try_with_modes(metadata, format, SimdMode::Auto, SpecializeMode::Auto)
+        Self::lower(metadata, format, SimdMode::Auto)
     }
 
     /// [`NativeKernel::new`] with an explicit [`SimdMode`] — benches build a
@@ -473,33 +451,17 @@ impl NativeKernel {
         format: &MachineFormat,
         mode: SimdMode,
     ) -> Self {
-        Self::with_modes(metadata, format, mode, SpecializeMode::Auto)
-    }
-
-    /// [`NativeKernel::new`] with explicit [`SimdMode`] and
-    /// [`SpecializeMode`] — benches build a
-    /// [`SpecializeMode::ForceInterpreted`] twin of a specialized kernel
-    /// this way to measure the interpreter overhead the library removes.
-    pub fn with_modes(
-        metadata: &MatrixMetadataSet,
-        format: &MachineFormat,
-        simd_mode: SimdMode,
-        spec_mode: SpecializeMode,
-    ) -> Self {
-        Self::try_with_modes(metadata, format, simd_mode, spec_mode)
+        Self::lower(metadata, format, mode)
             .expect("designs from the generator lower to valid kernels")
     }
 
     /// The complete lowering: resolves vectorization, validates every index
-    /// map's domain, computes each partition's [`KernelShape`] and matches
-    /// it against the monomorphized library (library misses and env-forced
-    /// builds fall back to the interpreted executor, counted as
-    /// `cpu_kernel_fallback_total`).
-    pub fn try_with_modes(
+    /// map's domain, computes each partition's [`KernelShape`] and resolves
+    /// it to its monomorphized library entry.
+    fn lower(
         metadata: &MatrixMetadataSet,
         format: &MachineFormat,
         simd_mode: SimdMode,
-        spec_mode: SpecializeMode,
     ) -> Result<Self, KernelBuildError> {
         if metadata.partitions.len() != format.partitions.len() {
             return Err(KernelBuildError::PartitionMismatch {
@@ -539,19 +501,15 @@ impl NativeKernel {
                     }
                 }
             };
+            let rows_path = matches!(path, ExecPath::Rows);
             // Row-partition loops split work at nnz-balanced row
             // boundaries; the boundaries come from the sub-matrix's
             // prefix sums and are cached here, once, at build time.
-            let row_cuts = match path {
-                ExecPath::Rows => Some(BalancedRowCuts::build(plan.matrix.row_offsets())),
-                ExecPath::Nnz { .. } => None,
-            };
+            let row_cuts = rows_path.then(|| BalancedRowCuts::build(plan.matrix.row_offsets()));
             let simd = ResolvedSimd::resolve(&plan.simd, simd_mode);
-            // The partition's coordinates in the shape lattice, then the
-            // library lookup: a hit pre-resolves every inner-loop decision
-            // into monomorphized function pointers; a miss (or a forced
-            // interpreted build) keeps the interpreted executor.
-            let rows_path = matches!(path, ExecPath::Rows);
+            // The partition's coordinates in the shape lattice; the library
+            // resolves every inner-loop decision they fix into
+            // monomorphized function pointers.
             let bounds = match &path {
                 ExecPath::Rows => IndexKind::of(&row_offsets),
                 ExecPath::Nnz { row_starts, .. } => IndexKind::of(row_starts),
@@ -573,42 +531,19 @@ impl NativeKernel {
                     PrefetchClass::None
                 },
             };
-            let spec = match spec_mode {
-                SpecializeMode::ForceInterpreted => None,
-                SpecializeMode::Auto => {
-                    if crate::cpu_features::no_specialize() {
-                        crate::specialized::count_kernel_fallback("forced");
-                        None
-                    } else {
-                        let matched = crate::specialized::specialize(&shape);
-                        if matched.is_none() {
-                            crate::specialized::count_kernel_fallback("shape");
-                        }
-                        matched
-                    }
+            // Materialise Model index functions into lookup tables: the
+            // closed-form model is evaluated once per domain point here, at
+            // build time, so the hot loop reads a plain table instead of
+            // evaluating the model per element.
+            let model_bounds = match (&path, &row_offsets) {
+                (ExecPath::Rows, bounds @ IndexFn::Model(_)) => {
+                    Some((0..=rows).map(|i| bounds.get(i)).collect())
                 }
+                _ => None,
             };
-            // Materialise Model index functions into lookup tables for the
-            // specialized path: the closed-form model is evaluated once per
-            // domain point here, at build time, so the hot loop reads a
-            // plain table instead of dispatching on the model per element.
-            // Interpreted builds (forced twins, env override) skip the cost
-            // and keep evaluating the model — the pre-specialization
-            // behaviour, which is what they exist to price.
-            let (spec_bounds, spec_origin) = if spec.is_some() {
-                let bounds_table = match (&path, &row_offsets) {
-                    (ExecPath::Rows, bounds @ IndexFn::Model(_)) => {
-                        Some((0..=rows).map(|i| bounds.get(i)).collect())
-                    }
-                    _ => None,
-                };
-                let origin_table = match &origin {
-                    model @ IndexFn::Model(_) => Some((0..rows).map(|i| model.get(i)).collect()),
-                    _ => None,
-                };
-                (bounds_table, origin_table)
-            } else {
-                (None, None)
+            let model_origin = match &origin {
+                model @ IndexFn::Model(_) => Some((0..rows).map(|i| model.get(i)).collect()),
+                _ => None,
             };
             partitions.push(NativePartition {
                 matrix: plan.matrix.clone(),
@@ -617,16 +552,16 @@ impl NativeKernel {
                 row_offsets,
                 path,
                 row_cuts,
-                spec_bounds,
-                spec_origin,
+                model_bounds,
+                model_origin,
                 simd,
+                spec: crate::specialized::specialize(&shape),
                 shape,
-                spec,
             });
         }
         let max_lanes = partitions
             .iter()
-            .map(|p: &NativePartition| p.simd.lanes)
+            .map(|p: &NativePartition| p.simd.lanes())
             .max()
             .unwrap_or(1);
         let name = format!(
@@ -637,18 +572,10 @@ impl NativeKernel {
                 .map(|p| p.describe())
                 .unwrap_or_else(|| "empty".to_string())
         );
+        let simd_label = joined_labels(partitions.iter().map(|p| p.simd.label()), "scalar");
         // Resolve the run-latency histogram handle now, not per run: the
         // labels (resolved SIMD backend + partition strategy) are fixed for
         // the kernel's lifetime, so runs touch only atomics.
-        let simd_label = {
-            let mut labels: Vec<String> = partitions.iter().map(|p| p.simd.label()).collect();
-            labels.dedup();
-            if labels.is_empty() {
-                "scalar".to_string()
-            } else {
-                labels.join("|")
-            }
-        };
         let path_label = {
             let any_rows = partitions.iter().any(|p| matches!(p.path, ExecPath::Rows));
             let any_nnz = partitions
@@ -660,10 +587,10 @@ impl NativeKernel {
                 _ => "rows",
             }
         };
-        let run_hist = Some(alpha_telemetry::global().histogram(
+        let run_hist = alpha_telemetry::global().histogram(
             "cpu_kernel_run_us",
             &[("simd", &simd_label), ("path", path_label)],
-        ));
+        );
         Ok(NativeKernel {
             partitions,
             rows: metadata.original_rows,
@@ -672,17 +599,9 @@ impl NativeKernel {
             format_bytes: format.bytes(),
             name,
             max_lanes,
+            simd_label,
             run_hist,
         })
-    }
-
-    /// Returns this kernel with run-latency telemetry detached: runs skip
-    /// the clock reads and histogram updates entirely.  This is the twin
-    /// `reproduce -- native` measures against to report
-    /// `telemetry_overhead_pct`.
-    pub fn without_telemetry(mut self) -> Self {
-        self.run_hist = None;
-        self
     }
 
     /// True when at least one partition runs a multi-lane kernel.
@@ -700,33 +619,21 @@ impl NativeKernel {
     /// `|`.  Recorded in bench results next to the host's CPU feature
     /// summary.
     pub fn simd_label(&self) -> String {
-        let mut labels: Vec<String> = self.partitions.iter().map(|p| p.simd.label()).collect();
-        labels.dedup();
-        if labels.is_empty() {
-            "scalar".to_string()
-        } else {
-            labels.join("|")
-        }
+        self.simd_label.clone()
     }
 
-    /// True when every partition was matched against the monomorphized
-    /// kernel library — steady-state runs execute branch-free straight-line
-    /// loops with no interpreted `IndexFn`/backend dispatch.
+    /// True when every partition runs through the monomorphized kernel
+    /// library — always, since every shape has a library entry.  Kept as
+    /// public API for callers that report it.
     pub fn is_specialized(&self) -> bool {
-        self.partitions.iter().all(|p| p.spec.is_some())
+        true
     }
 
     /// Label of each partition's [`KernelShape`] (deduped, joined with `|`),
     /// e.g. `rows[off:affine,org:id,col:table]:avx2-nnz-x8+pf`.  Persisted
     /// with design-store winners and recorded in bench results.
     pub fn shape_label(&self) -> String {
-        let mut labels: Vec<String> = self.partitions.iter().map(|p| p.shape.label()).collect();
-        labels.dedup();
-        if labels.is_empty() {
-            "none".to_string()
-        } else {
-            labels.join("|")
-        }
+        joined_labels(self.partitions.iter().map(|p| p.shape.label()), "none")
     }
 
     /// Output dimension (`y.len()`).
@@ -781,9 +688,7 @@ impl NativeKernel {
     /// worker per available CPU core, `1` runs serially.
     ///
     /// Executes on the process-wide shared [`Pool`] — repeated runs reuse
-    /// the same parked workers and **never spawn threads**.  Use
-    /// [`NativeKernel::run_spawning`] for the legacy spawn-per-call
-    /// behaviour (comparison benches only).
+    /// the same parked workers and **never spawn threads**.
     pub fn run(&self, x: &[Scalar], threads: usize) -> Result<Vec<Scalar>, String> {
         let mut y = vec![0.0; self.rows];
         self.run_into(x, &mut y, threads)?;
@@ -818,41 +723,6 @@ impl NativeKernel {
         threads: usize,
         pool: &Pool,
     ) -> Result<(), String> {
-        let workers = effective_workers_pooled_for(threads, self.nnz, self.max_lanes);
-        self.exec(x, y, workers, &Executor::Pooled(pool))
-    }
-
-    /// Runs `y = A·x` with the legacy **spawn-per-call** threading: scoped
-    /// threads are created and joined on every call.  Kept so benches can
-    /// measure the pool's dispatch win; hot paths should use
-    /// [`NativeKernel::run`].
-    pub fn run_spawning(&self, x: &[Scalar], threads: usize) -> Result<Vec<Scalar>, String> {
-        let mut y = vec![0.0; self.rows];
-        self.run_into_spawning(x, &mut y, threads)?;
-        Ok(y)
-    }
-
-    /// [`NativeKernel::run_spawning`], writing into a caller-provided
-    /// buffer.
-    pub fn run_into_spawning(
-        &self,
-        x: &[Scalar],
-        y: &mut [Scalar],
-        threads: usize,
-    ) -> Result<(), String> {
-        let workers = effective_workers(threads, self.nnz);
-        self.exec(x, y, workers, &Executor::Spawn { threads: workers })
-    }
-
-    /// Validates dimensions and executes every partition on `exec` with
-    /// `workers`-way partitioning.
-    fn exec(
-        &self,
-        x: &[Scalar],
-        y: &mut [Scalar],
-        workers: usize,
-        exec: &Executor<'_>,
-    ) -> Result<(), String> {
         if x.len() != self.cols {
             return Err(format!(
                 "input vector has length {}, matrix has {} columns",
@@ -868,44 +738,48 @@ impl NativeKernel {
             ));
         }
         y.fill(0.0);
-        let started = self.run_hist.as_ref().map(|_| Instant::now());
+        let workers = effective_workers_pooled_for(threads, self.nnz, self.max_lanes);
+        let started = Instant::now();
         // Partitions run one after another (their outputs may overlap under
         // COL_DIV); the parallelism lives inside each partition.
         for partition in &self.partitions {
-            match (&partition.path, partition.spec.as_ref()) {
-                (ExecPath::Rows, Some(spec)) => {
-                    exec_rows_specialized(partition, spec, x, y, workers, exec)
+            match (&partition.path, partition.spec.exec) {
+                (ExecPath::Rows, SpecExec::Rows(chunk)) => {
+                    exec_rows(partition, chunk, x, y, workers, pool)
                 }
-                (ExecPath::Rows, None) => exec_rows(partition, x, y, workers, exec),
                 (
                     ExecPath::Nnz {
                         nnz_per_thread,
                         row_starts,
                     },
-                    Some(spec),
-                ) => exec_nnz_specialized(
+                    SpecExec::Nnz(span),
+                ) => exec_nnz(
                     partition,
-                    spec,
+                    span,
                     *nnz_per_thread,
                     row_starts,
                     x,
                     y,
                     workers,
-                    exec,
+                    pool,
                 ),
-                (
-                    ExecPath::Nnz {
-                        nnz_per_thread,
-                        row_starts,
-                    },
-                    None,
-                ) => exec_nnz(partition, *nnz_per_thread, row_starts, x, y, workers, exec),
+                _ => unreachable!("shapes specialize to their partition's loop kind"),
             }
         }
-        if let (Some(hist), Some(started)) = (self.run_hist.as_ref(), started) {
-            hist.observe_duration(started.elapsed());
-        }
+        self.run_hist.observe_duration(started.elapsed());
         Ok(())
+    }
+}
+
+/// Dedupes adjacent per-partition labels and joins them with `|`
+/// (`empty` when there are no partitions).
+fn joined_labels(labels: impl Iterator<Item = String>, empty: &str) -> String {
+    let mut labels: Vec<String> = labels.collect();
+    labels.dedup();
+    if labels.is_empty() {
+        empty.to_string()
+    } else {
+        labels.join("|")
     }
 }
 
@@ -922,259 +796,11 @@ impl std::fmt::Debug for NativeKernel {
     }
 }
 
-/// One row's dot product over `[start, end)` of the partition's streams.
-#[inline]
-fn row_dot(
-    values: &[Scalar],
-    col_indices: &[u32],
-    x: &[Scalar],
-    col_offset: usize,
-    start: usize,
-    end: usize,
-) -> Scalar {
-    let mut acc = 0.0;
-    for idx in start..end {
-        acc += values[idx] * x[col_indices[idx] as usize + col_offset];
-    }
-    acc
-}
-
-/// One row-segment dot over `[start, end)`, routed through the partition's
-/// nnz-lane microkernel when one is active — nnz-partition designs and
-/// row-partition designs share this dispatch.
-#[inline]
-fn seg_dot(
-    rs: &ResolvedSimd,
-    values: &[Scalar],
-    col_indices: &[u32],
-    x: &[Scalar],
-    col_offset: usize,
-    start: usize,
-    end: usize,
-) -> Scalar {
-    if rs.is_vectorized() && rs.mapping == SimdLaneMapping::Nnz {
-        simd::row_dot_nnz(rs, values, col_indices, x, col_offset, start, end)
-    } else {
-        row_dot(values, col_indices, x, col_offset, start, end)
-    }
-}
-
-/// Accumulates (`+=`) rows `[first, first + out.len())` of a row-partition
-/// into `out`, dispatching once per worker chunk between the scalar loop,
-/// the nnz-lane microkernel (lanes across one row's non-zeros) and the
-/// row-lane microkernel (lanes across adjacent rows).
-#[allow(clippy::too_many_arguments)]
-fn dot_rows_into(
-    rs: &ResolvedSimd,
-    values: &[Scalar],
-    col_indices: &[u32],
-    x: &[Scalar],
-    col_offset: usize,
-    first: usize,
-    out: &mut [Scalar],
-    row_range: &(impl Fn(usize) -> (usize, usize) + Sync),
-) {
-    if !rs.is_vectorized() {
-        for (i, slot) in out.iter_mut().enumerate() {
-            let (start, end) = row_range(first + i);
-            *slot += row_dot(values, col_indices, x, col_offset, start, end);
-        }
-        return;
-    }
-    match rs.mapping {
-        SimdLaneMapping::Nnz => {
-            for (i, slot) in out.iter_mut().enumerate() {
-                let (start, end) = row_range(first + i);
-                *slot += simd::row_dot_nnz(rs, values, col_indices, x, col_offset, start, end);
-            }
-        }
-        SimdLaneMapping::Rows => match rs.lanes {
-            2 => row_lane_rows::<2>(
-                rs,
-                values,
-                col_indices,
-                x,
-                col_offset,
-                first,
-                out,
-                row_range,
-            ),
-            4 => row_lane_rows::<4>(
-                rs,
-                values,
-                col_indices,
-                x,
-                col_offset,
-                first,
-                out,
-                row_range,
-            ),
-            _ => row_lane_rows::<8>(
-                rs,
-                values,
-                col_indices,
-                x,
-                col_offset,
-                first,
-                out,
-                row_range,
-            ),
-        },
-    }
-}
-
-/// Row-lane groups: `L` adjacent rows advance together, one accumulator per
-/// lane; leftover rows (fewer than `L`) take the scalar loop.  Each lane
-/// still sums its own row serially, so results are bitwise scalar.
-#[allow(clippy::too_many_arguments)]
-fn row_lane_rows<const L: usize>(
-    rs: &ResolvedSimd,
-    values: &[Scalar],
-    col_indices: &[u32],
-    x: &[Scalar],
-    col_offset: usize,
-    first: usize,
-    out: &mut [Scalar],
-    row_range: &(impl Fn(usize) -> (usize, usize) + Sync),
-) {
-    let mut i = 0;
-    while i + L <= out.len() {
-        let mut ranges = [(0usize, 0usize); L];
-        for (l, range) in ranges.iter_mut().enumerate() {
-            *range = row_range(first + i + l);
-        }
-        let mut acc = [0.0 as Scalar; L];
-        simd::rows_dot_row_lanes::<L>(
-            values,
-            col_indices,
-            x,
-            col_offset,
-            &ranges,
-            &mut acc,
-            rs.prefetch,
-        );
-        for (l, &v) in acc.iter().enumerate() {
-            out[i + l] += v;
-        }
-        i += L;
-    }
-    for (j, slot) in out.iter_mut().enumerate().skip(i) {
-        let (start, end) = row_range(first + j);
-        *slot += row_dot(values, col_indices, x, col_offset, start, end);
-    }
-}
-
-/// Row-partition loop through the **monomorphized kernel library**: the
-/// worker-chunk body is a pre-resolved function pointer whose bounds
-/// arithmetic, SIMD backend and prefetch class were compiled into
-/// straight-line code at build time — the only indirection left is one
-/// indirect call per worker chunk.  Partitioning semantics (nnz-balanced
-/// cuts, contiguous in-place vs staged scatter) are identical to the
-/// interpreted [`exec_rows`].
-fn exec_rows_specialized(
-    p: &NativePartition,
-    spec: &SpecializedPartition,
-    x: &[Scalar],
-    y: &mut [Scalar],
-    workers: usize,
-    exec: &Executor<'_>,
-) {
-    let rows = p.matrix.rows();
-    if rows == 0 {
-        return;
-    }
-    let SpecExec::Rows(chunk) = spec.exec else {
-        unreachable!("row partitions specialize to chunk loops")
-    };
-    let args = p.args(x);
-    let workers = workers.clamp(1, rows);
-    let computed;
-    let cuts: &[usize] = match p.row_cuts.as_ref().and_then(|cache| cache.get(workers)) {
-        Some(cached) => cached,
-        None => {
-            computed = balanced_row_cuts(p.matrix.row_offsets(), workers);
-            &computed
-        }
-    };
-
-    if let Some(base) = p.origin.contiguous_base() {
-        let target = &mut y[base..base + rows];
-        exec.over_chunks(alpha_parallel::split_mut_at(target, cuts), |first, out| {
-            chunk(&args, first, out)
-        });
-        return;
-    }
-
-    let ranges: Vec<(usize, usize)> = cuts
-        .windows(2)
-        .map(|w| (w[0], w[1]))
-        .filter(|&(first, last)| first < last)
-        .collect();
-    let sums: Vec<Vec<Scalar>> = exec.map(&ranges, |&(first, last)| {
-        let mut out = vec![0.0; last - first];
-        chunk(&args, first, &mut out);
-        out
-    });
-    let scatter_args = p.scatter_args();
-    for (&(first, _), partial) in ranges.iter().zip(&sums) {
-        (spec.scatter)(&scatter_args, first, partial, y);
-    }
-}
-
-/// Nnz-partition loop through the monomorphized library: the per-span
-/// segment walk and the scatter are pre-resolved function pointers.  The
-/// chunk descriptor (`bmt_row_starts`) may be *any* index map — even a
-/// fitted model — because it resolves once per worker span, never per
-/// element.
-#[allow(clippy::too_many_arguments)]
-fn exec_nnz_specialized(
-    p: &NativePartition,
-    spec: &SpecializedPartition,
-    nnz_per_thread: usize,
-    row_starts: &IndexFn,
-    x: &[Scalar],
-    y: &mut [Scalar],
-    threads: usize,
-    exec: &Executor<'_>,
-) {
-    let nnz = p.matrix.nnz();
-    if nnz == 0 {
-        return;
-    }
-    let SpecExec::Nnz(span) = spec.exec else {
-        unreachable!("nnz partitions specialize to span loops")
-    };
-    let total_chunks = nnz.div_ceil(nnz_per_thread).max(1);
-    let workers = threads.min(total_chunks).max(1);
-    let chunks_per_worker = total_chunks.div_ceil(workers);
-    let spans: Vec<(usize, usize, usize)> = (0..workers)
-        .map(|w| {
-            let first_chunk = w * chunks_per_worker;
-            let start = (first_chunk * nnz_per_thread).min(nnz);
-            let end = ((first_chunk + chunks_per_worker) * nnz_per_thread).min(nnz);
-            (first_chunk, start, end)
-        })
-        .filter(|&(_, start, end)| start < end)
-        .collect();
-
-    let args = p.args(x);
-    let offsets = p.matrix.row_offsets();
-    let last_row = p.matrix.rows().saturating_sub(1);
-    let partials: Vec<(usize, Vec<Scalar>)> = exec.map(&spans, |&(first_chunk, start, end)| {
-        let mut row = (row_starts.get(first_chunk) as usize).min(last_row);
-        while row < last_row && offsets[row + 1] as usize <= start {
-            row += 1;
-        }
-        (row, span(&args, offsets, row, start, end))
-    });
-    let scatter_args = p.scatter_args();
-    for (base_row, sums) in &partials {
-        (spec.scatter)(&scatter_args, *base_row, sums, y);
-    }
-}
-
 /// Row-partition loop: contiguous local-row ranges across workers, one dot
-/// product per row.  Worker boundaries are **nnz-balanced** (see
+/// product per row.  `chunk` is the partition's pre-resolved library body —
+/// bounds arithmetic, SIMD backend and prefetch class compiled into
+/// straight-line code — so the only indirection left is one indirect call
+/// per worker chunk.  Worker boundaries are **nnz-balanced** (see
 /// [`BalancedRowCuts`]): each worker owns roughly the same number of
 /// non-zeros, not the same number of rows, so skewed matrices stop
 /// serialising behind their heaviest worker.
@@ -1187,55 +813,17 @@ fn exec_nnz_specialized(
 /// a real cost of that format, not an artifact of the harness.
 fn exec_rows(
     p: &NativePartition,
+    chunk: crate::specialized::ChunkFn,
     x: &[Scalar],
     y: &mut [Scalar],
     workers: usize,
-    exec: &Executor<'_>,
+    pool: &Pool,
 ) {
     let rows = p.matrix.rows();
     if rows == 0 {
         return;
     }
-    // Monomorphise the row-bounds accessor OUTSIDE the hot loop: stored
-    // offsets compile to two adjacent loads, affine offsets to pure
-    // arithmetic on pre-resolved locals (the ELL-like fixed-row-length
-    // case) — only fitted models still dispatch per row.
-    match &p.row_offsets {
-        IndexFn::Table(offsets) => {
-            let offsets: &[u32] = offsets;
-            exec_rows_with(p, x, y, workers, exec, |row| {
-                (offsets[row] as usize, offsets[row + 1] as usize)
-            })
-        }
-        IndexFn::Identity => exec_rows_with(p, x, y, workers, exec, |row| (row, row + 1)),
-        IndexFn::Affine { base, slope } => {
-            let (base, slope) = (*base, *slope);
-            exec_rows_with(p, x, y, workers, exec, move |row| {
-                let start = base + slope * row as i64;
-                (start as usize, (start + slope) as usize)
-            })
-        }
-        bounds @ IndexFn::Model(_) => exec_rows_with(p, x, y, workers, exec, |row| {
-            (bounds.get(row) as usize, bounds.get(row + 1) as usize)
-        }),
-    }
-}
-
-fn exec_rows_with(
-    p: &NativePartition,
-    x: &[Scalar],
-    y: &mut [Scalar],
-    workers: usize,
-    exec: &Executor<'_>,
-    row_range: impl Fn(usize) -> (usize, usize) + Sync,
-) {
-    let rows = p.matrix.rows();
-    let values = p.matrix.values();
-    let col_indices = p.matrix.col_indices();
-    let col_offset = p.col_offset;
-
-    // Nnz-balanced worker boundaries: from the build-time cache when the
-    // count is within the host's core range, recomputed otherwise.
+    let args = p.args(x);
     let workers = workers.clamp(1, rows);
     let computed;
     let cuts: &[usize] = match p.row_cuts.as_ref().and_then(|cache| cache.get(workers)) {
@@ -1248,17 +836,8 @@ fn exec_rows_with(
 
     if let Some(base) = p.origin.contiguous_base() {
         let target = &mut y[base..base + rows];
-        exec.over_chunks(alpha_parallel::split_mut_at(target, cuts), |first, out| {
-            dot_rows_into(
-                &p.simd,
-                values,
-                col_indices,
-                x,
-                col_offset,
-                first,
-                out,
-                &row_range,
-            );
+        pool.run_over_chunks(alpha_parallel::split_mut_at(target, cuts), |first, out| {
+            chunk(&args, first, out)
         });
         return;
     }
@@ -1268,36 +847,33 @@ fn exec_rows_with(
         .map(|w| (w[0], w[1]))
         .filter(|&(first, last)| first < last)
         .collect();
-    let sums: Vec<Vec<Scalar>> = exec.map(&ranges, |&(first, last)| {
+    let sums: Vec<Vec<Scalar>> = pool.parallel_map(&ranges, |&(first, last)| {
         let mut out = vec![0.0; last - first];
-        dot_rows_into(
-            &p.simd,
-            values,
-            col_indices,
-            x,
-            col_offset,
-            first,
-            &mut out,
-            &row_range,
-        );
+        chunk(&args, first, &mut out);
         out
     });
-    for (&(first, _), chunk) in ranges.iter().zip(&sums) {
-        scatter(&p.origin, first, chunk, y);
+    let scatter_args = p.scatter_args();
+    for (&(first, _), partial) in ranges.iter().zip(&sums) {
+        (p.spec.scatter)(&scatter_args, first, partial, y);
     }
 }
 
-/// Nnz-partition loop: workers own groups of whole design chunks, walk their
-/// non-zero span emitting one partial per row segment; boundary rows merge by
-/// accumulation in the scatter.
+/// Nnz-partition loop: workers own groups of whole design chunks and walk
+/// their non-zero span with the pre-resolved library body `span`, emitting
+/// one partial per row segment; boundary rows merge by accumulation in the
+/// scatter.  The chunk descriptor (`bmt_row_starts`) may be *any* index
+/// map — even a fitted model — because it resolves once per worker span,
+/// never per element.
+#[allow(clippy::too_many_arguments)]
 fn exec_nnz(
     p: &NativePartition,
+    span: crate::specialized::SpanFn,
     nnz_per_thread: usize,
     row_starts: &IndexFn,
     x: &[Scalar],
     y: &mut [Scalar],
     threads: usize,
-    exec: &Executor<'_>,
+    pool: &Pool,
 ) {
     let nnz = p.matrix.nnz();
     if nnz == 0 {
@@ -1306,7 +882,6 @@ fn exec_nnz(
     let total_chunks = nnz.div_ceil(nnz_per_thread).max(1);
     let workers = threads.min(total_chunks).max(1);
     let chunks_per_worker = total_chunks.div_ceil(workers);
-    // (first design chunk, nnz start, nnz end) per worker span.
     let spans: Vec<(usize, usize, usize)> = (0..workers)
         .map(|w| {
             let first_chunk = w * chunks_per_worker;
@@ -1317,72 +892,22 @@ fn exec_nnz(
         .filter(|&(_, start, end)| start < end)
         .collect();
 
-    let values = p.matrix.values();
-    let col_indices = p.matrix.col_indices();
+    let args = p.args(x);
     let offsets = p.matrix.row_offsets();
     let last_row = p.matrix.rows().saturating_sub(1);
-    let partials: Vec<(usize, Vec<Scalar>)> = exec.map(&spans, |&(first_chunk, start, end)| {
-        // The chunk descriptor gives the first row (closed-form when the
-        // row structure is regular); skip any empty rows before `start`.
-        let mut row = (row_starts.get(first_chunk) as usize).min(last_row);
-        while row < last_row && offsets[row + 1] as usize <= start {
-            row += 1;
-        }
-        let base_row = row;
-        let mut sums = Vec::new();
-        let mut cursor = start;
-        loop {
-            let seg_end = (offsets[row + 1] as usize).min(end);
-            sums.push(seg_dot(
-                &p.simd,
-                values,
-                col_indices,
-                x,
-                p.col_offset,
-                cursor,
-                seg_end,
-            ));
-            cursor = seg_end;
-            if cursor >= end {
-                break;
+    let partials: Vec<(usize, Vec<Scalar>)> =
+        pool.parallel_map(&spans, |&(first_chunk, start, end)| {
+            // The chunk descriptor gives the first row (closed-form when the
+            // row structure is regular); skip any empty rows before `start`.
+            let mut row = (row_starts.get(first_chunk) as usize).min(last_row);
+            while row < last_row && offsets[row + 1] as usize <= start {
+                row += 1;
             }
-            row += 1;
-        }
-        (base_row, sums)
-    });
-
+            (row, span(&args, offsets, row, start, end))
+        });
+    let scatter_args = p.scatter_args();
     for (base_row, sums) in &partials {
-        scatter(&p.origin, *base_row, sums, y);
-    }
-}
-
-/// Applies the origin-row permutation while merging partial sums into `y`.
-/// `+=` (rather than `=`) is what makes worker-boundary rows and `COL_DIV`
-/// sibling partitions correct.
-#[inline]
-fn scatter(origin: &IndexFn, base_row: usize, sums: &[Scalar], y: &mut [Scalar]) {
-    match origin {
-        IndexFn::Identity => {
-            for (j, &v) in sums.iter().enumerate() {
-                y[base_row + j] += v;
-            }
-        }
-        IndexFn::Affine { base, slope } => {
-            let (base, slope) = (*base, *slope);
-            for (j, &v) in sums.iter().enumerate() {
-                y[(base + slope * (base_row + j) as i64) as usize] += v;
-            }
-        }
-        IndexFn::Table(table) => {
-            for (j, &v) in sums.iter().enumerate() {
-                y[table[base_row + j] as usize] += v;
-            }
-        }
-        origin @ IndexFn::Model(_) => {
-            for (j, &v) in sums.iter().enumerate() {
-                y[origin.get(base_row + j) as usize] += v;
-            }
-        }
+        (p.spec.scatter)(&scatter_args, *base_row, sums, y);
     }
 }
 
@@ -1588,47 +1113,26 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_spawning_paths_agree_on_every_family() {
-        // The nnz-balanced pooled path vs the (also nnz-balanced) spawn path
-        // vs serial: identical partitioning semantics, different executors.
-        let pool = alpha_parallel::Pool::new(4);
-        for family in gen::PatternFamily::ALL {
-            let matrix = family.generate(192, 6, 21);
-            let x = DenseVector::random(matrix.cols(), 13);
-            for (name, graph) in presets::all_presets() {
-                let kernel = native_for(&graph, &matrix, true);
-                let serial = kernel.run(x.as_slice(), 1).unwrap();
-                let pooled = kernel.run_with_pool(x.as_slice(), 4, &pool).unwrap();
-                let spawned = kernel.run_spawning(x.as_slice(), 4).unwrap();
-                assert!(
-                    DenseVector::from_vec(pooled.clone()).approx_eq(&serial, 1e-4),
-                    "{name} on {}: pooled diverged from serial",
-                    family.name()
-                );
-                assert!(
-                    DenseVector::from_vec(spawned).approx_eq(&pooled, 1e-4),
-                    "{name} on {}: spawn diverged from pooled",
-                    family.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_thresholds_unlock_parallelism_an_order_of_magnitude_earlier() {
-        const { assert!(MIN_NNZ_PER_WORKER / MIN_NNZ_PER_WORKER_POOLED >= 10) };
-        // A 100k-nnz matrix: forced serial on the spawn path, parallel on
-        // the pooled path (given enough cores).
+    fn pooled_threshold_scales_workers_with_nnz_and_lanes() {
+        // Automatic counts wake one pooled worker per
+        // MIN_NNZ_PER_WORKER_POOLED non-zeros (scaled by the lane width),
+        // capped at the core count.
         let nnz = 100_000;
-        assert_eq!(effective_workers(0, nnz), 1);
-        let pooled = effective_workers_pooled(0, nnz);
+        let cores = alpha_parallel::default_threads();
         assert_eq!(
-            pooled,
-            alpha_parallel::default_threads().min(nnz.div_ceil(MIN_NNZ_PER_WORKER_POOLED))
+            effective_workers_pooled(0, nnz),
+            cores.min(nnz.div_ceil(MIN_NNZ_PER_WORKER_POOLED))
         );
-        // Explicit counts are honoured verbatim on both paths.
-        assert_eq!(effective_workers(3, nnz), 3);
+        assert_eq!(
+            effective_workers_pooled_for(0, nnz, 8),
+            cores
+                .min(nnz.div_ceil(8 * MIN_NNZ_PER_WORKER_POOLED))
+                .max(1)
+        );
+        assert_eq!(effective_workers_pooled(0, 0), 1);
+        // Explicit counts are honoured verbatim.
         assert_eq!(effective_workers_pooled(3, nnz), 3);
+        assert_eq!(effective_workers_pooled_for(3, nnz, 8), 3);
     }
 
     #[test]

@@ -26,12 +26,11 @@
 //!   prefetch distance taken from the design's
 //!   [`SimdPlan`](alpha_graph::SimdPlan) so vectorization is a **search
 //!   dimension**, not a compile-time constant;
-//! * [`specialized`] — the **monomorphized kernel library**: every
-//!   designer-reachable [`KernelShape`] (partition strategy × index-fn kinds
-//!   × SIMD variant × prefetch class) compiles to a branch-free straight-line
-//!   loop at build time; `NativeKernel::new` matches each partition's shape
-//!   against the library and falls back to the interpreted executor only for
-//!   unmatched shapes (counted as `cpu_kernel_fallback_total`).
+//! * [`specialized`] — the **monomorphized kernel library**, the one
+//!   executor: every [`KernelShape`] (partition strategy × index-fn kinds ×
+//!   SIMD variant × prefetch class) compiles to a branch-free straight-line
+//!   loop at build time, and `NativeKernel::new` resolves each partition's
+//!   shape to its library entry.
 
 #![warn(missing_docs)]
 
@@ -42,15 +41,14 @@ pub mod kernel;
 pub mod simd;
 pub mod specialized;
 
-pub use cpu_features::{SimdSupport, NO_SIMD_ENV, NO_SPECIALIZE_ENV};
+pub use cpu_features::{SimdSupport, NO_SIMD_ENV};
 pub use eval::{NativeEvaluator, NATIVE_DEVICE_LABEL};
 pub use harness::{MeasuredReport, TimingHarness};
 pub use kernel::{
-    effective_workers, effective_workers_pooled, effective_workers_pooled_for, IndexFn,
-    KernelBuildError, NativeKernel, MIN_NNZ_PER_WORKER, MIN_NNZ_PER_WORKER_POOLED,
+    effective_workers_pooled, effective_workers_pooled_for, IndexFn, KernelBuildError,
+    NativeKernel, MIN_NNZ_PER_WORKER_POOLED,
 };
-pub use simd::{ResolvedSimd, SimdMode};
+pub use simd::{GatherLanes, Lanes, ResolvedSimd, SimdMode};
 pub use specialized::{
     kernel_fallback_total, IndexKind, KernelShape, PartitionKind, PrefetchClass, SimdClass,
-    SpecializeMode,
 };

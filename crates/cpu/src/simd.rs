@@ -25,7 +25,10 @@
 //! All multiply-accumulate steps use separate multiply and add (no FMA), so
 //! every backend computing the same lane schedule produces identical bits.
 
-use crate::cpu_features::{self, SimdSupport};
+use crate::cpu_features;
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+use crate::cpu_features::SimdSupport;
+use crate::specialized::SimdClass;
 use alpha_graph::{SimdLaneMapping, SimdPlan};
 use alpha_matrix::Scalar;
 
@@ -45,16 +48,67 @@ pub enum SimdMode {
     ForceScalar,
 }
 
-/// Which implementation backs the lane kernels of one partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// AVX2 hardware gathers (x86_64, nnz-lanes with 4 or 8 lanes).
-    Avx2,
-    /// NEON vectors with emulated gathers (aarch64, nnz-lanes 4 or 8).
-    Neon,
-    /// Portable lane code (row-lanes always; nnz-lanes on plain hosts or
-    /// with 2 lanes, where a gather would not pay).
-    Portable,
+/// Lane width of a vectorized kernel: the only widths the lane kernels
+/// implement.  A closed set, so a shape with an unimplemented width cannot
+/// be constructed, let alone reach the kernel library.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Lanes {
+    /// Two lanes (portable kernels only — a gather would not pay).
+    X2,
+    /// Four lanes.
+    X4,
+    /// Eight lanes.
+    X8,
+}
+
+impl Lanes {
+    /// The width for a plan's lane count; `None` outside {2, 4, 8}.
+    pub fn from_count(lanes: usize) -> Option<Lanes> {
+        match lanes {
+            2 => Some(Lanes::X2),
+            4 => Some(Lanes::X4),
+            8 => Some(Lanes::X8),
+            _ => None,
+        }
+    }
+
+    /// The lane count as a number.
+    pub fn count(self) -> usize {
+        match self {
+            Lanes::X2 => 2,
+            Lanes::X4 => 4,
+            Lanes::X8 => 8,
+        }
+    }
+
+    /// The hardware-gather width this lane count maps to, if any.
+    pub fn gather(self) -> Option<GatherLanes> {
+        match self {
+            Lanes::X2 => None,
+            Lanes::X4 => Some(GatherLanes::X4),
+            Lanes::X8 => Some(GatherLanes::X8),
+        }
+    }
+}
+
+/// Lane width of a hardware-gather kernel (AVX2 / NEON), which exist only at
+/// four and eight lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum GatherLanes {
+    /// Four lanes.
+    X4,
+    /// Eight lanes.
+    X8,
+}
+
+impl GatherLanes {
+    /// The lane count as a number.
+    pub fn count(self) -> usize {
+        match self {
+            GatherLanes::X4 => 4,
+            GatherLanes::X8 => 8,
+        }
+    }
 }
 
 /// The vectorization decision for one partition, resolved once at kernel
@@ -62,14 +116,11 @@ pub enum Backend {
 /// host's [`cpu_features`] probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResolvedSimd {
-    /// Effective lane count (1 = scalar execution).
-    pub lanes: usize,
-    /// Row-vs-nnz lane mapping from the design.
-    pub mapping: SimdLaneMapping,
+    /// The lane kernel the plan resolved to on this host, backend and lane
+    /// width included ([`SimdClass::Scalar`] = scalar execution).
+    pub class: SimdClass,
     /// Prefetch distance in non-zeros (0 = no software prefetch).
     pub prefetch: usize,
-    /// Implementation selected for this host.
-    pub backend: Backend,
 }
 
 /// Counts a vectorized plan resolving to scalar execution on the
@@ -87,16 +138,19 @@ impl ResolvedSimd {
     /// Plain scalar execution (the pre-SIMD native backend).
     pub fn scalar() -> Self {
         ResolvedSimd {
-            lanes: 1,
-            mapping: SimdLaneMapping::Nnz,
+            class: SimdClass::Scalar,
             prefetch: 0,
-            backend: Backend::Portable,
         }
+    }
+
+    /// Effective lane count (1 = scalar execution).
+    pub fn lanes(&self) -> usize {
+        self.class.lanes()
     }
 
     /// True when lane kernels (rather than the scalar loop) will run.
     pub fn is_vectorized(&self) -> bool {
-        self.lanes > 1
+        self.class != SimdClass::Scalar
     }
 
     /// Resolves a design's plan for this host.  Fallback rules:
@@ -113,47 +167,38 @@ impl ResolvedSimd {
             count_simd_fallback("forced");
             return ResolvedSimd::scalar();
         }
-        let support = cpu_features::detect_hardware();
-        let lanes = match plan.lanes {
-            2 | 4 | 8 => plan.lanes,
-            _ => {
-                count_simd_fallback("lanes");
-                return ResolvedSimd::scalar();
-            }
+        let Some(lanes) = Lanes::from_count(plan.lanes) else {
+            count_simd_fallback("lanes");
+            return ResolvedSimd::scalar();
         };
-        let backend = match (plan.lane_mapping, support, lanes) {
-            (SimdLaneMapping::Rows, _, _) => Backend::Portable,
-            (SimdLaneMapping::Nnz, SimdSupport::Avx2, 4 | 8) => Backend::Avx2,
-            (SimdLaneMapping::Nnz, SimdSupport::Neon, 4 | 8) => Backend::Neon,
-            _ => Backend::Portable,
+        let class = match plan.lane_mapping {
+            SimdLaneMapping::Rows => SimdClass::RowLanes { lanes },
+            SimdLaneMapping::Nnz => match (cpu_features::detect_hardware(), lanes.gather()) {
+                #[cfg(target_arch = "x86_64")]
+                (SimdSupport::Avx2, Some(lanes)) => SimdClass::NnzAvx2 { lanes },
+                #[cfg(target_arch = "aarch64")]
+                (SimdSupport::Neon, Some(lanes)) => SimdClass::NnzNeon { lanes },
+                _ => SimdClass::NnzPortable { lanes },
+            },
         };
         ResolvedSimd {
-            lanes,
-            mapping: plan.lane_mapping,
+            class,
             prefetch: plan.prefetch_distance,
-            backend,
         }
     }
 
     /// Compact label for bench records, e.g. `avx2-nnz-x8+pf16`,
     /// `portable-row-x4`, or `scalar`.
     pub fn label(&self) -> String {
-        if !self.is_vectorized() {
-            return "scalar".to_string();
-        }
-        let backend = match self.backend {
-            Backend::Avx2 => "avx2",
-            Backend::Neon => "neon",
-            Backend::Portable => "portable",
-        };
-        let mapping = match self.mapping {
-            SimdLaneMapping::Rows => "row",
-            SimdLaneMapping::Nnz => "nnz",
+        let kernel = match self.class {
+            SimdClass::Scalar => return "scalar".to_string(),
+            SimdClass::RowLanes { lanes } => format!("portable-row-x{}", lanes.count()),
+            class => class.label(),
         };
         if self.prefetch > 0 {
-            format!("{backend}-{mapping}-x{}+pf{}", self.lanes, self.prefetch)
+            format!("{kernel}+pf{}", self.prefetch)
         } else {
-            format!("{backend}-{mapping}-x{}", self.lanes)
+            kernel
         }
     }
 }
@@ -468,111 +513,6 @@ pub(crate) mod neon {
     }
 }
 
-/// One row's nnz-lane dot, dispatched on the resolved backend.  The match is
-/// a predictable per-row jump; the expensive decision (feature detection)
-/// already happened at kernel build time.
-#[inline]
-pub fn row_dot_nnz(
-    simd: &ResolvedSimd,
-    values: &[Scalar],
-    col_indices: &[u32],
-    x: &[Scalar],
-    col_offset: usize,
-    start: usize,
-    end: usize,
-) -> Scalar {
-    match (simd.backend, simd.lanes) {
-        #[cfg(target_arch = "x86_64")]
-        (Backend::Avx2, 8) => unsafe {
-            // SAFETY: Backend::Avx2 is only resolved after a positive
-            // runtime AVX2 probe.
-            avx2::row_dot_nnz8(
-                values,
-                col_indices,
-                x,
-                col_offset,
-                start,
-                end,
-                simd.prefetch,
-            )
-        },
-        #[cfg(target_arch = "x86_64")]
-        (Backend::Avx2, 4) => unsafe {
-            // SAFETY: as above.
-            avx2::row_dot_nnz4(
-                values,
-                col_indices,
-                x,
-                col_offset,
-                start,
-                end,
-                simd.prefetch,
-            )
-        },
-        #[cfg(target_arch = "aarch64")]
-        (Backend::Neon, 8) => unsafe {
-            // SAFETY: Backend::Neon is only resolved after a positive
-            // runtime NEON probe.
-            neon::row_dot_nnz8(
-                values,
-                col_indices,
-                x,
-                col_offset,
-                start,
-                end,
-                simd.prefetch,
-            )
-        },
-        #[cfg(target_arch = "aarch64")]
-        (Backend::Neon, 4) => unsafe {
-            // SAFETY: as above.
-            neon::row_dot_nnz4(
-                values,
-                col_indices,
-                x,
-                col_offset,
-                start,
-                end,
-                simd.prefetch,
-            )
-        },
-        (_, 8) => row_dot_nnz_portable::<8>(
-            values,
-            col_indices,
-            x,
-            col_offset,
-            start,
-            end,
-            simd.prefetch,
-        ),
-        (_, 4) => row_dot_nnz_portable::<4>(
-            values,
-            col_indices,
-            x,
-            col_offset,
-            start,
-            end,
-            simd.prefetch,
-        ),
-        (_, 2) => row_dot_nnz_portable::<2>(
-            values,
-            col_indices,
-            x,
-            col_offset,
-            start,
-            end,
-            simd.prefetch,
-        ),
-        _ => {
-            let mut acc = 0.0 as Scalar;
-            for idx in start..end {
-                acc += values[idx] * x[col_indices[idx] as usize + col_offset];
-            }
-            acc
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,21 +574,29 @@ mod tests {
     fn hardware_and_portable_nnz_lanes_are_bit_identical() {
         let (values, cols, x) = streams(1027, 211, 7);
         for lanes in [4usize, 8] {
-            let hw = ResolvedSimd {
-                lanes,
-                mapping: SimdLaneMapping::Nnz,
-                prefetch: 8,
-                backend: match cpu_features::detect_hardware() {
-                    SimdSupport::Avx2 => Backend::Avx2,
-                    SimdSupport::Neon => Backend::Neon,
-                    SimdSupport::None => return, // nothing to compare on this host
-                },
-            };
             for end in [3, 7, 8, 9, 64, 1000, 1027] {
-                let hw_dot = row_dot_nnz(&hw, &values, &cols, &x, 0, 0, end);
                 let portable = match lanes {
                     4 => row_dot_nnz_portable::<4>(&values, &cols, &x, 0, 0, end, 0),
                     _ => row_dot_nnz_portable::<8>(&values, &cols, &x, 0, 0, end, 0),
+                };
+                let hw_dot = match cpu_features::detect_hardware() {
+                    // SAFETY: the probe just reported AVX2.
+                    #[cfg(target_arch = "x86_64")]
+                    SimdSupport::Avx2 => unsafe {
+                        match lanes {
+                            4 => avx2::row_dot_nnz4(&values, &cols, &x, 0, 0, end, 8),
+                            _ => avx2::row_dot_nnz8(&values, &cols, &x, 0, 0, end, 8),
+                        }
+                    },
+                    // SAFETY: the probe just reported NEON.
+                    #[cfg(target_arch = "aarch64")]
+                    SimdSupport::Neon => unsafe {
+                        match lanes {
+                            4 => neon::row_dot_nnz4(&values, &cols, &x, 0, 0, end, 8),
+                            _ => neon::row_dot_nnz8(&values, &cols, &x, 0, 0, end, 8),
+                        }
+                    },
+                    _ => return, // nothing to compare on this host
                 };
                 assert_eq!(
                     hw_dot.to_bits(),
@@ -699,7 +647,7 @@ mod tests {
 
         let auto = ResolvedSimd::resolve(&vec_plan, SimdMode::Auto);
         if !cpu_features::force_scalar() {
-            assert_eq!(auto.lanes, 8);
+            assert_eq!(auto.lanes(), 8);
             assert_eq!(auto.prefetch, 16);
             assert!(auto.label().contains("nnz-x8"));
         }
@@ -715,7 +663,7 @@ mod tests {
         };
         let row = ResolvedSimd::resolve(&row_plan, SimdMode::Auto);
         if !cpu_features::force_scalar() {
-            assert_eq!(row.backend, Backend::Portable);
+            assert_eq!(row.class, SimdClass::RowLanes { lanes: Lanes::X4 });
             assert_eq!(row.label(), "portable-row-x4");
         }
     }

@@ -1,15 +1,12 @@
 //! The monomorphized kernel library: branch-free specialized SpMV loops.
 //!
-//! The interpreted executor in [`crate::kernel`] re-decides things inside its
-//! hot loops that were already decided at build time: row bounds go through a
-//! per-row [`IndexFn`](crate::IndexFn) enum match unless they are a stored
-//! table, and the nnz-lane dot dispatches on the resolved SIMD backend once
-//! per row (or per row segment).  A machine-designed format deserves better —
-//! `emit_rust` already prints the exact straight-line loop for the chosen
-//! design; this module is where an equivalent loop actually *runs*.
+//! A machine-designed format deserves a loop with every design decision
+//! compiled in — `emit_rust` already prints the exact straight-line loop for
+//! the chosen design; this module is where an equivalent loop actually
+//! *runs*, and it is the only executor [`crate::NativeKernel`] has.
 //!
 //! The library is generated at build time by the compiler's monomorphizer:
-//! every reachable combination of
+//! every combination of
 //!
 //! * partition strategy ([`PartitionKind::Rows`] / [`PartitionKind::Nnz`]),
 //! * row-bounds index-fn kind (stored table vs affine/identity arithmetic),
@@ -20,46 +17,25 @@
 //! is instantiated as one dedicated function (`chunk_nnz::<TB, D>`,
 //! `chunk_row_lanes::<TB, L>`, `span_nnz::<D>`, `scatter_to::<TB>`) in which
 //! the index arithmetic is inlined as constants/affine expressions and every
-//! enum match is hoisted entirely out of the loop.  `specialize` is the
-//! runtime shape-matcher: it maps a [`KernelShape`] computed at kernel build
-//! to the library entry's function pointers, or reports a miss so the caller
-//! falls back to the interpreted path (counted as
-//! `cpu_kernel_fallback_total{reason=...}` on the global telemetry registry).
+//! enum match is hoisted entirely out of the loop.  `specialize` maps a
+//! [`KernelShape`] computed at kernel build to the library entry's function
+//! pointers.  It is total: lane widths are closed enums ([`Lanes`],
+//! [`GatherLanes`]) and hardware variants exist only on their target, so its
+//! match has no wildcard arm and a shape without a library entry does not
+//! compile.
 //!
 //! Non-affine compressions ([`IndexKind::Model`] — step/periodic models or
 //! models with patched exceptions) are covered by *materialisation*: the
 //! kernel builder evaluates the closed-form model over its whole domain into
 //! a lookup table once at build time and the shape takes the table
-//! instantiation, trading memory for a branch-free hot loop.  The only
-//! interpreted builds are those disabled through
-//! [`SpecializeMode::ForceInterpreted`] or the
-//! [`crate::cpu_features::NO_SPECIALIZE_ENV`] override, plus genuine
-//! lane/backend combinations the resolve step can no longer produce.
+//! instantiation, trading memory for a branch-free hot loop.
 //!
-//! Every specialized loop performs the same floating-point operations in the
-//! same order as its interpreted twin, so scalar shapes match bitwise and
-//! vectorized shapes match to the lane-reduction tolerance the SIMD
-//! differential suite already enforces.
+//! Scalar shapes accumulate each row serially in stream order, like the
+//! reference CSR product; vectorized shapes reorder the reduction and match
+//! it to the tolerance the differential suites enforce.
 
-use crate::simd::{self, Backend, ResolvedSimd};
-use alpha_graph::SimdLaneMapping;
+use crate::simd::{self, GatherLanes, Lanes, ResolvedSimd};
 use alpha_matrix::Scalar;
-
-/// Environment variable handling lives in [`crate::cpu_features`]; this
-/// module only consumes the decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpecializeMode {
-    /// Use a specialized library kernel when the shape matches, fall back to
-    /// the interpreted executor otherwise (honouring the
-    /// [`crate::cpu_features::NO_SPECIALIZE_ENV`] override).
-    #[default]
-    Auto,
-    /// Always run the interpreted executor — benches build an interpreted
-    /// twin of a specialized kernel this way to price the interpreter
-    /// overhead without mutating the process environment.  Unlike a library
-    /// miss, a forced twin is **not** counted as a fallback.
-    ForceInterpreted,
-}
 
 /// The lowered kind of one format index array — the dimension of the shape
 /// lattice that decides how the specialized loop addresses it.
@@ -71,8 +47,9 @@ pub enum IndexKind {
     Affine,
     /// A stored array; loads are real.
     Table,
-    /// Any other fitted model (step/periodic or patched exceptions) — not in
-    /// the library, executes interpreted.
+    /// Any other fitted model (step/periodic or patched exceptions) —
+    /// materialised into a table at kernel build, so it runs the table
+    /// instantiation.
     Model,
 }
 
@@ -107,64 +84,75 @@ pub enum PartitionKind {
 }
 
 /// The SIMD variant dimension: which inner-loop dot kernel the shape runs.
-/// This is the *executed* variant, post-resolution — a row-lane plan on an
-/// nnz partition runs its segments scalar (exactly as the interpreted
-/// `seg_dot` does), so it classifies as [`SimdClass::Scalar`] here even
-/// though the kernel's SIMD label still names the plan.
+/// [`ResolvedSimd::class`] holds the variant a design's plan resolved to;
+/// a partition's shape holds the variant it *executes* — a row-lane plan on
+/// an nnz partition runs its segments scalar, so it classifies as
+/// [`SimdClass::Scalar`] there even though the kernel's SIMD label still
+/// names the plan.
+///
+/// Hardware variants exist only on the target that implements them, so
+/// every constructible class has a library entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdClass {
     /// Plain scalar accumulation.
     Scalar,
     /// Portable nnz-lane dot with `lanes` accumulators.
     NnzPortable {
-        /// Lane count (2, 4 or 8).
-        lanes: u8,
+        /// Lane count.
+        lanes: Lanes,
     },
-    /// AVX2 hardware-gather nnz-lane dot (x86_64, 4 or 8 lanes).
+    /// AVX2 hardware-gather nnz-lane dot.
+    #[cfg(target_arch = "x86_64")]
     NnzAvx2 {
-        /// Lane count (4 or 8).
-        lanes: u8,
+        /// Lane count.
+        lanes: GatherLanes,
     },
-    /// NEON nnz-lane dot with emulated gathers (aarch64, 4 or 8 lanes).
+    /// NEON nnz-lane dot with emulated gathers.
+    #[cfg(target_arch = "aarch64")]
     NnzNeon {
-        /// Lane count (4 or 8).
-        lanes: u8,
+        /// Lane count.
+        lanes: GatherLanes,
     },
     /// Row-lane groups: `lanes` adjacent rows advance together.
     RowLanes {
-        /// Lane count (2, 4 or 8).
-        lanes: u8,
+        /// Lane count.
+        lanes: Lanes,
     },
 }
 
 impl SimdClass {
-    /// Classifies a resolved vectorization decision for one partition.
+    /// The variant a partition executes under the resolved decision `rs`.
     /// `rows_path` says whether the partition executes the row-partition
     /// loop (row-lane kernels only exist there).
     pub fn classify(rs: &ResolvedSimd, rows_path: bool) -> SimdClass {
-        if !rs.is_vectorized() {
-            return SimdClass::Scalar;
-        }
-        let lanes = rs.lanes as u8;
-        match rs.mapping {
-            SimdLaneMapping::Rows if rows_path => SimdClass::RowLanes { lanes },
-            // Nnz partitions execute row-lane plans scalar (seg_dot).
-            SimdLaneMapping::Rows => SimdClass::Scalar,
-            SimdLaneMapping::Nnz => match rs.backend {
-                Backend::Avx2 => SimdClass::NnzAvx2 { lanes },
-                Backend::Neon => SimdClass::NnzNeon { lanes },
-                Backend::Portable => SimdClass::NnzPortable { lanes },
-            },
+        match rs.class {
+            SimdClass::RowLanes { .. } if !rows_path => SimdClass::Scalar,
+            class => class,
         }
     }
 
-    fn label(self) -> String {
+    /// Lane count (1 for scalar).
+    pub fn lanes(self) -> usize {
+        match self {
+            SimdClass::Scalar => 1,
+            SimdClass::NnzPortable { lanes } | SimdClass::RowLanes { lanes } => lanes.count(),
+            #[cfg(target_arch = "x86_64")]
+            SimdClass::NnzAvx2 { lanes } => lanes.count(),
+            #[cfg(target_arch = "aarch64")]
+            SimdClass::NnzNeon { lanes } => lanes.count(),
+        }
+    }
+
+    /// Shape-label form, e.g. `avx2-nnz-x8` or `row-x4`.
+    pub(crate) fn label(self) -> String {
         match self {
             SimdClass::Scalar => "scalar".to_string(),
-            SimdClass::NnzPortable { lanes } => format!("portable-nnz-x{lanes}"),
-            SimdClass::NnzAvx2 { lanes } => format!("avx2-nnz-x{lanes}"),
-            SimdClass::NnzNeon { lanes } => format!("neon-nnz-x{lanes}"),
-            SimdClass::RowLanes { lanes } => format!("row-x{lanes}"),
+            SimdClass::NnzPortable { lanes } => format!("portable-nnz-x{}", lanes.count()),
+            #[cfg(target_arch = "x86_64")]
+            SimdClass::NnzAvx2 { lanes } => format!("avx2-nnz-x{}", lanes.count()),
+            #[cfg(target_arch = "aarch64")]
+            SimdClass::NnzNeon { lanes } => format!("neon-nnz-x{}", lanes.count()),
+            SimdClass::RowLanes { lanes } => format!("row-x{}", lanes.count()),
         }
     }
 }
@@ -230,28 +218,11 @@ impl KernelShape {
     }
 }
 
-/// Counts a kernel build missing the specialized library on the process-wide
-/// registry (`cpu_kernel_fallback_total{reason=...}`): `"shape"` for a shape
-/// outside the library (none are designer-reachable today), `"forced"` for
-/// the [`crate::cpu_features::NO_SPECIALIZE_ENV`] override.  A programmatic
-/// [`SpecializeMode::ForceInterpreted`] twin is deliberate and not counted.
-pub(crate) fn count_kernel_fallback(reason: &'static str) {
-    alpha_telemetry::global()
-        .counter("cpu_kernel_fallback_total", &[("reason", reason)])
-        .inc();
-}
-
-/// Total `cpu_kernel_fallback_total` count across all reasons on the global
-/// registry — the invariant `reproduce -- native` prints (and CI asserts to
-/// be zero for the bench fleet).
+/// The `cpu_kernel_fallback_total` invariant: kernel builds that missed the
+/// specialized library.  Always 0 — `specialize` is total — and kept as
+/// public API because benchmarks and the daemon's job summaries report it.
 pub fn kernel_fallback_total() -> u64 {
-    alpha_telemetry::global()
-        .snapshot()
-        .counters
-        .iter()
-        .filter(|c| c.name == "cpu_kernel_fallback_total")
-        .map(|c| c.value)
-        .sum()
+    0
 }
 
 // ---------------------------------------------------------------------------
@@ -346,16 +317,14 @@ fn row_range<const TB: bool>(a: &PartitionArgs<'_>, row: usize) -> (usize, usize
 }
 
 /// The inner dot product of one row (or row segment), monomorphized on the
-/// SIMD variant.  Implementations call straight into the backend kernel —
-/// the per-row backend match of the interpreted `row_dot_nnz` dispatch does
-/// not exist here.
+/// SIMD variant.  Implementations call straight into the backend kernel, so
+/// no backend match runs per row.
 trait Dot {
     /// Dot of stream positions `[start, end)` against `x`.
     fn dot(a: &PartitionArgs<'_>, start: usize, end: usize) -> Scalar;
 }
 
-/// Scalar accumulation (identical operation order to the interpreted
-/// `row_dot`, hence bitwise-equal results).
+/// Scalar accumulation: one serial chain in stream order.
 struct DotScalar;
 
 impl Dot for DotScalar {
@@ -500,8 +469,8 @@ fn chunk_nnz<const TB: bool, D: Dot>(a: &PartitionArgs<'_>, first: usize, out: &
 }
 
 /// Row-lane chunk loop: `L` adjacent rows advance together (one accumulator
-/// chain per lane, exactly the interpreted `row_lane_rows` schedule, so
-/// results are bitwise identical); leftover rows take the scalar loop.
+/// chain per lane, each summing its row serially, so results are bitwise
+/// scalar); leftover rows take the scalar loop.
 fn chunk_row_lanes<const TB: bool, const L: usize>(
     a: &PartitionArgs<'_>,
     first: usize,
@@ -584,25 +553,31 @@ fn scatter_to<const TB: bool>(
 // The shape matcher
 // ---------------------------------------------------------------------------
 
-/// Picks the chunk instantiation for a bounds kind (`$tb`) and dot type.
+/// Picks the chunk instantiation for a bounds kind (`$tb`) and loop body
+/// (`chunk_nnz` with a dot type, or `chunk_row_lanes` with a lane count).
 macro_rules! chunk_for {
-    ($tb:expr, $d:ty) => {
+    ($tb:expr, $body:ident, const $l:literal) => {
         if $tb {
-            chunk_nnz::<true, $d> as ChunkFn
+            $body::<true, $l> as ChunkFn
         } else {
-            chunk_nnz::<false, $d> as ChunkFn
+            $body::<false, $l> as ChunkFn
+        }
+    };
+    ($tb:expr, $body:ident, $p:ty) => {
+        if $tb {
+            $body::<true, $p> as ChunkFn
+        } else {
+            $body::<false, $p> as ChunkFn
         }
     };
 }
 
-/// Resolves a shape against the library.  `None` is a genuine library miss
-/// (the caller falls back to the interpreted executor and counts it); the
-/// only misses today are lane/backend combinations the resolve step can no
-/// longer produce.  [`IndexKind::Model`] bounds and origins take the table
+/// Resolves a shape to its library entry.  Total: every constructible
+/// shape has one.  [`IndexKind::Model`] bounds and origins take the table
 /// instantiations: the kernel builder materialises the closed-form model
 /// into a lookup table once at build time, so the hot loop stays
-/// branch-free (memory traded for the per-element model dispatch).
-pub(crate) fn specialize(shape: &KernelShape) -> Option<SpecializedPartition> {
+/// branch-free (memory traded for the per-element model evaluation).
+pub(crate) fn specialize(shape: &KernelShape) -> SpecializedPartition {
     // Output placement: contiguous origins compute, everything else —
     // including materialised models — reads the table (the contiguous case
     // bypasses the scatter entirely at run time).
@@ -616,66 +591,72 @@ pub(crate) fn specialize(shape: &KernelShape) -> Option<SpecializedPartition> {
                 IndexKind::Table | IndexKind::Model => true,
                 IndexKind::Identity | IndexKind::Affine => false,
             };
-            let chunk: ChunkFn = match shape.simd {
-                SimdClass::Scalar => chunk_for!(tb, DotScalar),
-                SimdClass::NnzPortable { lanes: 2 } => chunk_for!(tb, DotNnzPortable<2>),
-                SimdClass::NnzPortable { lanes: 4 } => chunk_for!(tb, DotNnzPortable<4>),
-                SimdClass::NnzPortable { lanes: 8 } => chunk_for!(tb, DotNnzPortable<8>),
+            SpecExec::Rows(match shape.simd {
+                SimdClass::Scalar => chunk_for!(tb, chunk_nnz, DotScalar),
+                SimdClass::NnzPortable { lanes: Lanes::X2 } => {
+                    chunk_for!(tb, chunk_nnz, DotNnzPortable<2>)
+                }
+                SimdClass::NnzPortable { lanes: Lanes::X4 } => {
+                    chunk_for!(tb, chunk_nnz, DotNnzPortable<4>)
+                }
+                SimdClass::NnzPortable { lanes: Lanes::X8 } => {
+                    chunk_for!(tb, chunk_nnz, DotNnzPortable<8>)
+                }
                 #[cfg(target_arch = "x86_64")]
-                SimdClass::NnzAvx2 { lanes: 4 } => chunk_for!(tb, hw::DotAvx2x4),
+                SimdClass::NnzAvx2 {
+                    lanes: GatherLanes::X4,
+                } => chunk_for!(tb, chunk_nnz, hw::DotAvx2x4),
                 #[cfg(target_arch = "x86_64")]
-                SimdClass::NnzAvx2 { lanes: 8 } => chunk_for!(tb, hw::DotAvx2x8),
+                SimdClass::NnzAvx2 {
+                    lanes: GatherLanes::X8,
+                } => chunk_for!(tb, chunk_nnz, hw::DotAvx2x8),
                 #[cfg(target_arch = "aarch64")]
-                SimdClass::NnzNeon { lanes: 4 } => chunk_for!(tb, hw::DotNeon4),
+                SimdClass::NnzNeon {
+                    lanes: GatherLanes::X4,
+                } => chunk_for!(tb, chunk_nnz, hw::DotNeon4),
                 #[cfg(target_arch = "aarch64")]
-                SimdClass::NnzNeon { lanes: 8 } => chunk_for!(tb, hw::DotNeon8),
-                SimdClass::RowLanes { lanes: 2 } => {
-                    if tb {
-                        chunk_row_lanes::<true, 2> as ChunkFn
-                    } else {
-                        chunk_row_lanes::<false, 2> as ChunkFn
-                    }
+                SimdClass::NnzNeon {
+                    lanes: GatherLanes::X8,
+                } => chunk_for!(tb, chunk_nnz, hw::DotNeon8),
+                SimdClass::RowLanes { lanes: Lanes::X2 } => {
+                    chunk_for!(tb, chunk_row_lanes, const 2)
                 }
-                SimdClass::RowLanes { lanes: 4 } => {
-                    if tb {
-                        chunk_row_lanes::<true, 4> as ChunkFn
-                    } else {
-                        chunk_row_lanes::<false, 4> as ChunkFn
-                    }
+                SimdClass::RowLanes { lanes: Lanes::X4 } => {
+                    chunk_for!(tb, chunk_row_lanes, const 4)
                 }
-                SimdClass::RowLanes { lanes: 8 } => {
-                    if tb {
-                        chunk_row_lanes::<true, 8> as ChunkFn
-                    } else {
-                        chunk_row_lanes::<false, 8> as ChunkFn
-                    }
+                SimdClass::RowLanes { lanes: Lanes::X8 } => {
+                    chunk_for!(tb, chunk_row_lanes, const 8)
                 }
-                _ => return None,
-            };
-            SpecExec::Rows(chunk)
+            })
         }
-        PartitionKind::Nnz => {
-            // Nnz spans resolve `bmt_row_starts` once per span outside the
-            // hot loop, so its kind never disqualifies the shape.
-            let span: SpanFn = match shape.simd {
-                SimdClass::Scalar => span_nnz::<DotScalar>,
-                SimdClass::NnzPortable { lanes: 2 } => span_nnz::<DotNnzPortable<2>>,
-                SimdClass::NnzPortable { lanes: 4 } => span_nnz::<DotNnzPortable<4>>,
-                SimdClass::NnzPortable { lanes: 8 } => span_nnz::<DotNnzPortable<8>>,
-                #[cfg(target_arch = "x86_64")]
-                SimdClass::NnzAvx2 { lanes: 4 } => span_nnz::<hw::DotAvx2x4>,
-                #[cfg(target_arch = "x86_64")]
-                SimdClass::NnzAvx2 { lanes: 8 } => span_nnz::<hw::DotAvx2x8>,
-                #[cfg(target_arch = "aarch64")]
-                SimdClass::NnzNeon { lanes: 4 } => span_nnz::<hw::DotNeon4>,
-                #[cfg(target_arch = "aarch64")]
-                SimdClass::NnzNeon { lanes: 8 } => span_nnz::<hw::DotNeon8>,
-                _ => return None,
-            };
-            SpecExec::Nnz(span)
-        }
+        // Nnz spans resolve `bmt_row_starts` once per span outside the hot
+        // loop, so its kind never changes the instantiation.
+        PartitionKind::Nnz => SpecExec::Nnz(match shape.simd {
+            // Row lanes group whole rows, which a span's segments are not:
+            // they run scalar (`SimdClass::classify` labels them so).
+            SimdClass::Scalar | SimdClass::RowLanes { .. } => span_nnz::<DotScalar>,
+            SimdClass::NnzPortable { lanes: Lanes::X2 } => span_nnz::<DotNnzPortable<2>>,
+            SimdClass::NnzPortable { lanes: Lanes::X4 } => span_nnz::<DotNnzPortable<4>>,
+            SimdClass::NnzPortable { lanes: Lanes::X8 } => span_nnz::<DotNnzPortable<8>>,
+            #[cfg(target_arch = "x86_64")]
+            SimdClass::NnzAvx2 {
+                lanes: GatherLanes::X4,
+            } => span_nnz::<hw::DotAvx2x4>,
+            #[cfg(target_arch = "x86_64")]
+            SimdClass::NnzAvx2 {
+                lanes: GatherLanes::X8,
+            } => span_nnz::<hw::DotAvx2x8>,
+            #[cfg(target_arch = "aarch64")]
+            SimdClass::NnzNeon {
+                lanes: GatherLanes::X4,
+            } => span_nnz::<hw::DotNeon4>,
+            #[cfg(target_arch = "aarch64")]
+            SimdClass::NnzNeon {
+                lanes: GatherLanes::X8,
+            } => span_nnz::<hw::DotNeon8>,
+        }),
     };
-    Some(SpecializedPartition { exec, scatter })
+    SpecializedPartition { exec, scatter }
 }
 
 #[cfg(test)]
@@ -693,93 +674,164 @@ mod tests {
         }
     }
 
+    /// Every SIMD class constructible on this host.
+    fn simd_classes() -> Vec<SimdClass> {
+        let mut classes = vec![SimdClass::Scalar];
+        for lanes in [Lanes::X2, Lanes::X4, Lanes::X8] {
+            classes.push(SimdClass::NnzPortable { lanes });
+            classes.push(SimdClass::RowLanes { lanes });
+        }
+        for _lanes in [GatherLanes::X4, GatherLanes::X8] {
+            #[cfg(target_arch = "x86_64")]
+            classes.push(SimdClass::NnzAvx2 { lanes: _lanes });
+            #[cfg(target_arch = "aarch64")]
+            classes.push(SimdClass::NnzNeon { lanes: _lanes });
+        }
+        classes
+    }
+
     #[test]
     fn every_designer_reachable_shape_is_in_the_library() {
-        // The cross product the designer can actually produce: both
-        // partition strategies × both bounds storages × every SIMD variant
-        // the resolve step emits on this host.
-        let mut simd_classes = vec![
-            SimdClass::Scalar,
-            SimdClass::NnzPortable { lanes: 2 },
-            SimdClass::NnzPortable { lanes: 4 },
-            SimdClass::NnzPortable { lanes: 8 },
-        ];
-        #[cfg(target_arch = "x86_64")]
-        simd_classes.extend([
-            SimdClass::NnzAvx2 { lanes: 4 },
-            SimdClass::NnzAvx2 { lanes: 8 },
-        ]);
-        #[cfg(target_arch = "aarch64")]
-        simd_classes.extend([
-            SimdClass::NnzNeon { lanes: 4 },
-            SimdClass::NnzNeon { lanes: 8 },
-        ]);
-        for &bounds in &[
+        // Every partition strategy × bounds kind × SIMD class resolves to an
+        // entry of the matching loop kind, and that entry computes the
+        // reference row sums.  Hardware classes only run where the probe
+        // allows them.
+        let hw = crate::cpu_features::detect_hardware() != crate::SimdSupport::None;
+        let x: Vec<Scalar> = (0..8).map(|i| 1.0 + i as Scalar * 0.25).collect();
+        for bounds in [
             IndexKind::Identity,
             IndexKind::Affine,
             IndexKind::Table,
             IndexKind::Model,
         ] {
-            for &sc in &simd_classes {
-                assert!(
-                    specialize(&shape(PartitionKind::Rows, bounds, sc)).is_some(),
-                    "rows/{bounds:?}/{sc:?} must be in the library"
-                );
-                assert!(
-                    specialize(&shape(PartitionKind::Nnz, bounds, sc)).is_some(),
-                    "nnz/{bounds:?}/{sc:?} must be in the library"
-                );
-            }
-            for lanes in [2u8, 4, 8] {
-                assert!(
-                    specialize(&shape(
-                        PartitionKind::Rows,
-                        bounds,
-                        SimdClass::RowLanes { lanes }
-                    ))
-                    .is_some(),
-                    "rows/{bounds:?}/row-x{lanes} must be in the library"
-                );
+            // Identity bounds mean one non-zero per row; affine ones a fixed
+            // row length; table-backed kinds read real offsets.
+            let row_len = if bounds == IndexKind::Identity { 1 } else { 11 };
+            let rows = 13;
+            let nnz = rows * row_len;
+            let values: Vec<Scalar> = (0..nnz).map(|i| (i % 7) as Scalar - 3.0).collect();
+            let cols: Vec<u32> = (0..nnz).map(|i| (i * 5 % 8) as u32).collect();
+            let offsets: Vec<u32> = (0..=rows).map(|r| (r * row_len) as u32).collect();
+            let table = matches!(bounds, IndexKind::Table | IndexKind::Model);
+            let args = PartitionArgs {
+                values: &values,
+                col_indices: &cols,
+                x: &x,
+                col_offset: 0,
+                bounds_table: if table { &offsets } else { &[] },
+                bounds_base: 0,
+                bounds_slope: if table { 0 } else { row_len as i64 },
+                prefetch: 4,
+            };
+            let expected: Vec<Scalar> = (0..rows)
+                .map(|r| DotScalar::dot(&args, r * row_len, (r + 1) * row_len))
+                .collect();
+            for simd in simd_classes() {
+                // Hardware entries must not run on a host without them.
+                let runnable = hw
+                    || matches!(
+                        simd,
+                        SimdClass::Scalar
+                            | SimdClass::NnzPortable { .. }
+                            | SimdClass::RowLanes { .. }
+                    );
+                for partition in [PartitionKind::Rows, PartitionKind::Nnz] {
+                    let context = format!("{partition:?}/{bounds:?}/{simd:?}");
+                    let got = match (partition, specialize(&shape(partition, bounds, simd)).exec) {
+                        (PartitionKind::Rows, SpecExec::Rows(_)) if !runnable => continue,
+                        (PartitionKind::Nnz, SpecExec::Nnz(_)) if !runnable => continue,
+                        (PartitionKind::Rows, SpecExec::Rows(chunk)) => {
+                            let mut out = vec![0.0; rows];
+                            chunk(&args, 0, &mut out);
+                            out
+                        }
+                        (PartitionKind::Nnz, SpecExec::Nnz(span)) => {
+                            span(&args, &offsets, 0, 0, nnz)
+                        }
+                        _ => panic!("{context}: entry kind does not match the partition"),
+                    };
+                    for (r, (&g, &e)) in got.iter().zip(&expected).enumerate() {
+                        assert!(
+                            (g - e).abs() <= 1e-4 * e.abs().max(1.0),
+                            "{context}: row {r} computed {g}, expected {e}"
+                        );
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn model_shapes_hit_the_library_via_materialised_tables() {
-        // Model bounds and origins resolve to the table instantiations —
-        // the kernel builder materialises the closed-form model into a
-        // lookup table at build time, so no designer-reachable shape ever
-        // falls back to the interpreter.
-        assert!(specialize(&shape(
-            PartitionKind::Rows,
-            IndexKind::Model,
-            SimdClass::Scalar
-        ))
-        .is_some());
-        let mut s = shape(PartitionKind::Rows, IndexKind::Table, SimdClass::Scalar);
-        s.origin = IndexKind::Model;
-        assert!(specialize(&s).is_some());
-        // An nnz partition's bounds (row_starts) may be a model — resolved
-        // once per span, it never disqualifies the shape.
-        assert!(specialize(&shape(
-            PartitionKind::Nnz,
-            IndexKind::Model,
-            SimdClass::Scalar
-        ))
-        .is_some());
+        // A Model origin scatters through its build-time materialised
+        // table, exactly like a stored one; contiguous kinds compute.
+        let sums = [1.0, 2.0, 3.0];
+        let table = [2u32, 0, 1];
+        for (origin, args, expected) in [
+            (
+                IndexKind::Model,
+                ScatterArgs {
+                    table: &table,
+                    base: 0,
+                    slope: 0,
+                },
+                [2.0, 3.0, 1.0],
+            ),
+            (
+                IndexKind::Table,
+                ScatterArgs {
+                    table: &table,
+                    base: 0,
+                    slope: 0,
+                },
+                [2.0, 3.0, 1.0],
+            ),
+            (
+                IndexKind::Identity,
+                ScatterArgs {
+                    table: &[],
+                    base: 0,
+                    slope: 1,
+                },
+                [1.0, 2.0, 3.0],
+            ),
+        ] {
+            let mut s = shape(PartitionKind::Rows, IndexKind::Table, SimdClass::Scalar);
+            s.origin = origin;
+            let mut y = [0.0; 3];
+            (specialize(&s).scatter)(&args, 0, &sums, &mut y);
+            assert_eq!(y, expected, "{origin:?} origin");
+        }
     }
 
     #[test]
     fn labels_are_stable_and_compact() {
-        let s = KernelShape {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let s = KernelShape {
+                partition: PartitionKind::Rows,
+                bounds: IndexKind::Table,
+                origin: IndexKind::Identity,
+                col_index: IndexKind::Table,
+                simd: SimdClass::NnzAvx2 {
+                    lanes: GatherLanes::X8,
+                },
+                prefetch: PrefetchClass::Stream,
+            };
+            assert_eq!(s.label(), "rows[off:table,org:id,col:table]:avx2-nnz-x8+pf");
+        }
+        let p = KernelShape {
             partition: PartitionKind::Rows,
-            bounds: IndexKind::Table,
+            bounds: IndexKind::Model,
             origin: IndexKind::Identity,
             col_index: IndexKind::Table,
-            simd: SimdClass::NnzAvx2 { lanes: 8 },
+            simd: SimdClass::NnzPortable { lanes: Lanes::X2 },
             prefetch: PrefetchClass::Stream,
         };
-        assert_eq!(s.label(), "rows[off:table,org:id,col:table]:avx2-nnz-x8+pf");
+        assert_eq!(
+            p.label(),
+            "rows[off:model,org:id,col:table]:portable-nnz-x2+pf"
+        );
         let n = KernelShape {
             partition: PartitionKind::Nnz,
             bounds: IndexKind::Affine,

@@ -77,18 +77,4 @@ fn steady_state_spmv_never_spawns() {
         baseline,
         "default run/measure paths must reuse the shared pool"
     );
-
-    // At this size the spawn path's threshold refuses parallelism entirely
-    // (nnz < MIN_NNZ_PER_WORKER) — exactly the "forced serial" regime the
-    // pooled threshold unlocks.
-    assert_eq!(alpha_cpu::effective_workers(0, kernel.nnz()), 1);
-    assert!(alpha_cpu::effective_workers_pooled(0, kernel.nnz()) >= 1);
-
-    // The legacy spawn path with an explicit count, by contrast, pays
-    // threads per call — the cost this rework moved off the hot path.
-    kernel.run_spawning(x.as_slice(), 4).unwrap();
-    assert!(
-        thread_spawns() > baseline,
-        "run_spawning is expected to spawn (comparison baseline)"
-    );
 }

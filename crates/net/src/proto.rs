@@ -505,7 +505,8 @@ pub struct JobSummary {
     /// that will serve [`Request::Spmv`] for this job.
     pub kernel_shape: String,
     /// True when every partition of the resident kernel executes through a
-    /// specialized (branch-free) loop rather than the interpreted fallback.
+    /// specialized (branch-free) loop — always, since every kernel shape has
+    /// a library entry; kept on the wire for protocol compatibility.
     pub specialized: bool,
 }
 

@@ -9,23 +9,21 @@
 //! output index `i` always holds `f(&items[i])`, regardless of how work
 //! interleaves — and a disjoint-chunk in-place runner.
 //!
-//! Both primitives exist in two flavours:
-//!
-//! * **spawn-per-call** free functions ([`parallel_map`],
-//!   [`parallel_over_chunks`]): scoped threads are created and joined per
-//!   call.  Fine for coarse work (a batch of millisecond-scale simulations),
-//!   ruinous for a sub-100 µs SpMV where the spawn alone costs tens of
-//!   microseconds.
-//! * **the persistent [`Pool`]**: workers are spawned once and parked on a
+//! * **spawn-per-call** [`parallel_map`]: scoped threads are created and
+//!   joined per call.  Fine for coarse work (a batch of millisecond-scale
+//!   searches), ruinous for a sub-100 µs SpMV where the spawn alone costs
+//!   tens of microseconds.
+//! * **the persistent [`Pool`]** ([`Pool::parallel_map`],
+//!   [`Pool::run_over_chunks`]): workers are spawned once and parked on a
 //!   condvar; a job wakes them, they drain an atomic work counter, and the
 //!   submitting thread (which participates in its own job) collects the
 //!   results.  Per-call dispatch cost is a mutex/condvar round-trip —
 //!   microseconds, not thread spawns — which is what lets the native SpMV
 //!   backend parallelise small matrices profitably.
 //!
-//! Work distribution is a simple atomic work-stealing counter in both
-//! flavours: each worker repeatedly claims the next unprocessed index.  That
-//! keeps long-running items (e.g. a slow kernel simulation) from serialising
+//! Work distribution is a simple atomic work-stealing counter in both: each
+//! worker repeatedly claims the next unprocessed index.  That keeps
+//! long-running items (e.g. a slow kernel simulation) from serialising
 //! behind a static chunking.
 
 use std::any::Any;
@@ -196,37 +194,9 @@ where
     slots.finish(panic_slot.into_inner().expect("panic slot poisoned"))
 }
 
-/// Runs `f(offset, chunk)` over disjoint mutable chunks, one scoped worker
-/// thread per chunk (inline on the caller's thread when there is only one).
-///
-/// This is the zero-copy sibling of [`parallel_map`]: kernels that own
-/// disjoint output ranges write straight into them instead of staging
-/// results in freshly allocated buffers.  The chunk list is expected to be
-/// one entry per worker, so thread-per-chunk is the right granularity.
-/// Panics in `f` propagate to the caller.
-pub fn parallel_over_chunks<T, F>(chunks: Vec<(usize, &mut [T])>, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if chunks.len() <= 1 {
-        for (offset, chunk) in chunks {
-            f(offset, chunk);
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        for (offset, chunk) in chunks {
-            let f = &f;
-            count_spawn();
-            scope.spawn(move || f(offset, chunk));
-        }
-    });
-}
-
 /// Splits `slice` into up to `parts` contiguous chunks of near-equal length,
 /// tagged with their start offsets — the input shape
-/// [`parallel_over_chunks`] consumes.
+/// [`Pool::run_over_chunks`] consumes.
 pub fn split_mut<T>(slice: &mut [T], parts: usize) -> Vec<(usize, &mut [T])> {
     let len = slice.len();
     if len == 0 {
@@ -253,7 +223,7 @@ pub fn split_mut<T>(slice: &mut [T], parts: usize) -> Vec<(usize, &mut [T])> {
 /// `cuts` must start at 0, end at `slice.len()`, and be non-decreasing;
 /// zero-length pieces (repeated cuts) are dropped.  This is how nnz-balanced
 /// row partitioning turns its boundary list into the disjoint output chunks
-/// [`parallel_over_chunks`] / [`Pool::run_over_chunks`] consume.
+/// [`Pool::run_over_chunks`] consumes.
 pub fn split_mut_at<'a, T>(slice: &'a mut [T], cuts: &[usize]) -> Vec<(usize, &'a mut [T])> {
     debug_assert!(cuts.first().is_none_or(|&c| c == 0));
     debug_assert!(cuts.last().is_none_or(|&c| c == slice.len()));
@@ -585,9 +555,10 @@ impl Pool {
     }
 
     /// Runs `f(offset, chunk)` over disjoint mutable chunks on the pool —
-    /// the zero-copy in-place sibling of [`Pool::parallel_map`], equivalent
-    /// to [`parallel_over_chunks`] without the per-call spawns.  Panics
-    /// propagate; the pool survives them.
+    /// the zero-copy in-place sibling of [`Pool::parallel_map`]: kernels
+    /// that own disjoint output ranges write straight into them instead of
+    /// staging results in fresh buffers.  Panics propagate; the pool
+    /// survives them.
     pub fn run_over_chunks<T, F>(&self, chunks: Vec<(usize, &mut [T])>, f: F)
     where
         T: Send,
@@ -704,59 +675,6 @@ fn worker_loop(shared: &PoolShared, pool_id: usize) {
         drop(state);
         if finished {
             shared.work_done.notify_all();
-        }
-    }
-}
-
-/// Where data-parallel work should run: freshly spawned scoped threads (the
-/// legacy per-call flavour, kept for pool-vs-spawn comparisons) or a
-/// persistent [`Pool`].
-///
-/// Kernels express their parallelism as a list of chunks/ranges sized to a
-/// worker count and hand the list to an executor; this enum lets the same
-/// kernel code run on either backend.
-pub enum Executor<'a> {
-    /// Spawn `threads` scoped threads per call (`0` = one per core).
-    Spawn {
-        /// Worker threads per call; `0` means [`default_threads`].
-        threads: usize,
-    },
-    /// Reuse a persistent pool; parallelism is the pool's size.
-    Pooled(&'a Pool),
-}
-
-impl Executor<'_> {
-    /// The parallelism this executor runs with.
-    pub fn threads(&self) -> usize {
-        match self {
-            Executor::Spawn { threads } => resolve_threads(*threads),
-            Executor::Pooled(pool) => pool.threads(),
-        }
-    }
-
-    /// Order-preserving map (see [`parallel_map`] / [`Pool::parallel_map`]).
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        match self {
-            Executor::Spawn { threads } => parallel_map(items, *threads, f),
-            Executor::Pooled(pool) => pool.parallel_map(items, f),
-        }
-    }
-
-    /// Disjoint-chunk in-place runner (see [`parallel_over_chunks`] /
-    /// [`Pool::run_over_chunks`]).
-    pub fn over_chunks<T, F>(&self, chunks: Vec<(usize, &mut [T])>, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        match self {
-            Executor::Spawn { .. } => parallel_over_chunks(chunks, f),
-            Executor::Pooled(pool) => pool.run_over_chunks(chunks, f),
         }
     }
 }
@@ -1091,20 +1009,6 @@ mod tests {
         assert_eq!(expected_offset, 103);
         assert!(split_mut(&mut data, 0).len() == 1);
         assert!(split_mut::<u8>(&mut [], 4).is_empty());
-    }
-
-    #[test]
-    fn parallel_over_chunks_writes_in_place() {
-        let mut data: Vec<usize> = vec![0; 257];
-        for parts in [1, 2, 7] {
-            data.fill(0);
-            parallel_over_chunks(split_mut(&mut data, parts), |offset, chunk| {
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    *v = offset + i;
-                }
-            });
-            assert!(data.iter().enumerate().all(|(i, &v)| v == i));
-        }
     }
 
     #[test]
@@ -1477,33 +1381,6 @@ mod tests {
         let b = Pool::shared() as *const Pool;
         assert_eq!(a, b);
         assert!(Pool::shared().threads() >= 1);
-    }
-
-    #[test]
-    fn executor_flavours_agree() {
-        let items: Vec<usize> = (0..129).collect();
-        let pool = Pool::new(3);
-        let spawn = Executor::Spawn { threads: 3 };
-        let pooled = Executor::Pooled(&pool);
-        assert_eq!(spawn.threads(), 3);
-        assert_eq!(pooled.threads(), 3);
-        assert_eq!(
-            spawn.map(&items, |&x| x * 3),
-            pooled.map(&items, |&x| x * 3)
-        );
-        let mut a: Vec<usize> = vec![0; 100];
-        let mut b: Vec<usize> = vec![0; 100];
-        spawn.over_chunks(split_mut(&mut a, 4), |offset, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = offset + i;
-            }
-        });
-        pooled.over_chunks(split_mut(&mut b, 4), |offset, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = offset + i;
-            }
-        });
-        assert_eq!(a, b);
     }
 
     #[test]
